@@ -10,16 +10,23 @@ full-system tests prove the IR ports of the in-tree machines cycle-exact
 against the retained hand-written Python ticks (``fsm_backend="python"``).
 """
 
+import hashlib
+import json
+from functools import partial
+from pathlib import Path
+
 import pytest
 
 from repro.devices.baselines import build_naive_plb_system, build_optimized_fcb_system
-from repro.devices.interpolator import build_splice_interpolator, interpolate_fixed_point
+from repro.devices.interpolator import build_splice_interpolator
+from repro.devices.timer import build_timer_system
 from repro.evaluation.scenarios import SCENARIOS
 from repro.rtl import (
     BoundFsm,
     CompiledSimulator,
     FsmError,
     FsmSpec,
+    ReferenceSimulator,
     Simulator,
     TraceRecorder,
     detect_drive_conflicts,
@@ -238,63 +245,119 @@ class TestRandomizedEquivalence:
         assert profile[0]["label"].endswith("rand1")
 
 
-def _run_scenario_trace(build, kernel_factory):
-    built = build(kernel_factory)
+# ---------------------------------------------------------------------------
+# golden traces
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "fsm_traces.json"
+
+GOLDEN_KERNELS = {
+    "reference": ReferenceSimulator,
+    "event": Simulator,
+    "compiled": CompiledSimulator,
+}
+
+GOLDEN_SYSTEMS = {
+    **{
+        f"splice_{bus}": partial(build_splice_interpolator, f"splice_{bus}")
+        for bus in ("plb", "opb", "fcb", "apb")
+    },
+    "naive_plb": build_naive_plb_system,
+    "optimized_fcb": build_optimized_fcb_system,
+}
+
+
+def _violations(built):
     system = getattr(built, "system", None)
-    simulator = getattr(built, "simulator", None) or system.simulator
+    monitor = getattr(system, "monitor", None)
+    if monitor is None:
+        return None
+    return [(v.cycle, v.rule, v.detail) for v in monitor.violations]
+
+
+def _scenario_case(system, number, factory):
+    built = GOLDEN_SYSTEMS[system](simulator_factory=factory)
+    simulator = getattr(built, "simulator", None) or built.system.simulator
     recorder = TraceRecorder(simulator, simulator.signals)
-    scenario = next(s for s in SCENARIOS if s.number == 2)
-    sets = scenario.generate_inputs()
-    outcome = built.run_scenario(sets)
-    monitor = getattr(system, "monitor", None) if system is not None else None
-    violations = (
-        [(v.cycle, v.rule, v.detail) for v in monitor.violations]
-        if monitor is not None
-        else None
-    )
+    scenario = next(s for s in SCENARIOS if s.number == number)
+    outcome = built.run_scenario(scenario.generate_inputs())
     return recorder.trace.samples, (
         outcome["result"],
         outcome["cycles"],
         outcome["transactions"],
-        violations,
+        _violations(built),
     )
 
 
-class TestRetainedPythonPathParity:
-    """IR machines are cycle-exact against the retained hand-written ticks.
+def _timer_case(factory):
+    """The Chapter 8 timer on the Figure 8.8 sequence (as in the kernel
+    equivalence harness)."""
+    timer = build_timer_system(simulator_factory=factory)
+    simulator = timer.system.simulator
+    recorder = TraceRecorder(simulator, simulator.signals)
+    drivers = timer.drivers
+    drivers["disable"]()
+    drivers["get_clock"]()
+    drivers["set_threshold"](400)
+    drivers["enable"]()
+    snapshot = drivers["get_snapshot"]()
+    timer.system.run(450)
+    status = drivers["get_status"]()
+    drivers["disable"]()
+    threshold = drivers["get_threshold"]()
+    return recorder.trace.samples, (
+        (snapshot, status, threshold),
+        timer.cycles,
+        None,
+        _violations(timer),
+    )
 
-    The ``python`` backend registers the original tick methods; building
-    the same system on the same kernel with both backends and comparing
-    every signal on every cycle proves each port faithful.
+
+GOLDEN_CASES = [
+    *(
+        f"{system}/fig9.1-{number}/{kernel}"
+        for system in GOLDEN_SYSTEMS
+        for number in (1, 2, 3, 4)
+        for kernel in GOLDEN_KERNELS
+    ),
+    *(f"timer/fig8.8/{kernel}" for kernel in GOLDEN_KERNELS),
+]
+
+
+def golden_digest(case: str) -> str:
+    """SHA-256 of the canonical JSON of one case's full-signal trace plus
+    its ``(result, cycles, transactions, monitor violations)`` outcome."""
+    system, scenario, kernel = case.split("/")
+    factory = GOLDEN_KERNELS[kernel]
+    if system == "timer":
+        samples, outcome = _timer_case(factory)
+    else:
+        samples, outcome = _scenario_case(system, int(scenario.split("-")[1]), factory)
+    payload = json.dumps([samples, outcome], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestGoldenTraces:
+    """Every in-tree machine reproduces the committed golden traces.
+
+    ``tests/golden/fsm_traces.json`` pins, per (system x scenario x kernel),
+    the digest of every signal on every cycle plus the scenario outcome and
+    monitor violations.  It was recorded from the hand-written Python ticks
+    the IR machines replaced, so a match proves each port cycle-exact.
     """
 
-    @pytest.mark.parametrize("bus", ["plb", "fcb", "opb", "apb"])
-    @pytest.mark.parametrize("kernel", [Simulator, CompiledSimulator])
-    def test_splice_systems_match_legacy(self, bus, kernel):
-        def build(factory):
-            return build_splice_interpolator(f"splice_{bus}", simulator_factory=factory)
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_PATH.read_text())
 
-        ir_trace, ir_outcome = _run_scenario_trace(build, kernel)
-        with use_backend("python"):
-            py_trace, py_outcome = _run_scenario_trace(build, kernel)
-        assert ir_outcome == py_outcome
-        assert ir_trace == py_trace, f"IR port of {bus} diverges from the Python path"
-        scenario = next(s for s in SCENARIOS if s.number == 2)
-        assert ir_outcome[0] == interpolate_fixed_point(*scenario.generate_inputs()) & 0xFFFFFFFF
+    def test_golden_file_covers_every_case(self, golden):
+        assert sorted(golden) == sorted(GOLDEN_CASES)
 
-    @pytest.mark.parametrize(
-        "builder", [build_naive_plb_system, build_optimized_fcb_system]
-    )
-    def test_baselines_match_legacy(self, builder):
-        def build(factory):
-            return builder(simulator_factory=factory)
-
-        for kernel in (Simulator, CompiledSimulator):
-            ir_trace, ir_outcome = _run_scenario_trace(build, kernel)
-            with use_backend("python"):
-                py_trace, py_outcome = _run_scenario_trace(build, kernel)
-            assert ir_outcome == py_outcome
-            assert ir_trace == py_trace
+    @pytest.mark.parametrize("case", GOLDEN_CASES)
+    def test_case_matches_golden(self, golden, case):
+        for backend in ("ir", "python"):
+            with use_backend(backend):
+                assert golden_digest(case) == golden[case], f"{backend} backend"
 
     def test_python_backend_still_selectable_per_module(self):
         with use_backend("python"):
@@ -302,3 +365,11 @@ class TestRetainedPythonPathParity:
         assert system.master.fsm is None  # retained tick registered
         system2 = build_splice_interpolator("splice_plb").system
         assert system2.master.fsm is not None
+
+
+if __name__ == "__main__":
+    # Re-record the golden file: PYTHONPATH=src python tests/test_fsm_ir.py
+    with use_backend("python"):
+        digests = {case: golden_digest(case) for case in GOLDEN_CASES}
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
