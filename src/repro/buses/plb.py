@@ -18,7 +18,7 @@ shared, arbitrated processor bus) and supports three transfer styles:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.buses.base import BusMaster, BusTransaction, SlaveBundle, TransactionKind
 from repro.rtl.fsm import (
@@ -33,7 +33,7 @@ from repro.rtl.fsm import (
     ScheduleZero,
 )
 from repro.buses.base import DMA_KINDS as _DMA_KINDS, WRITE_KINDS as _WRITE_KINDS
-from repro.rtl.signal import Signal, schedule_zero
+from repro.rtl.signal import Signal
 
 #: Transfer styles that stream beats back-to-back without re-arbitration.
 _STREAMING_KINDS = (
@@ -98,9 +98,8 @@ class PLBMaster(BusMaster):
         name: str,
         slave: PLBSlaveBundle,
         base_address: int = 0,
-        fsm_backend: Optional[str] = None,
     ) -> None:
-        super().__init__(name, slave, fsm_backend=fsm_backend)
+        super().__init__(name, slave)
         self.base_address = base_address
         self._phase = "idle"
         self._delay = 0
@@ -158,7 +157,7 @@ class PLBMaster(BusMaster):
         """The PLB request/acknowledge protocol as FSM IR.
 
         States are declared hottest-first (a transaction spends most cycles
-        waiting for an acknowledge).  The per-beat advance (``_after_beat``)
+        waiting for an acknowledge).  The per-beat advance
         is fully inline: streaming beats keep the enables and present the
         next word; single-word semantics re-arbitrate per beat.
         """
@@ -205,7 +204,7 @@ class PLBMaster(BusMaster):
             Exec("slot = (txn.address - BASEADDR) // WORDB"),
             If(
                 "not (0 <= slot < NSLOTS)",
-                # Out-of-range decode: the retained helper raises with the
+                # Out-of-range decode: the Python helper raises with the
                 # full diagnostic.
                 (Call("h_slot_for", args="txn.address"),),
             ),
@@ -273,9 +272,6 @@ class PLBMaster(BusMaster):
             )
         return slot
 
-    def _clear_request(self) -> None:
-        schedule_zero(self._request_signals)
-
     # -- FSM ----------------------------------------------------------------------
 
     def _begin(self, transaction: BusTransaction) -> None:
@@ -289,91 +285,3 @@ class PLBMaster(BusMaster):
         else:
             self._phase = "arbitrate"
             self._delay = self.ARBITRATION_CYCLES
-
-    def _tick(self, transaction: BusTransaction) -> bool:
-        # Ordered by per-cycle frequency: a transaction spends most cycles
-        # waiting for an acknowledge, then counting delay cycles.  The return
-        # value is the wait-state-elision activity flag: because the REQ
-        # strobes are kernel-cleared pulses, the FSM is fully parked (False)
-        # from the cycle after the request until the peripheral acknowledges.
-        phase = self._phase
-        slave = self.slave
-
-        if phase == "wait_ack":
-            if self._active_write:
-                if slave.wr_ack._value:
-                    self._word_index += 1
-                    return self._after_beat(transaction)
-            elif slave.rd_ack._value:
-                transaction.results.append(slave.data_from_slave._value)
-                self._word_index += 1
-                return self._after_beat(transaction)
-            return False
-
-        if phase == "arbitrate" or phase == "dma_setup":
-            # Pure countdown, expressed against the (elision-proof) cycle
-            # counter so the master can sleep through it under timed wakes.
-            until = self._delay_until
-            if until is None:
-                self._delay_until = until = self._cycle + self._delay
-            if self._cycle < until:
-                return self._sleep_until(until)
-            self._delay_until = None
-            self._phase = "request"
-            # fall through to issue the first beat this cycle
-        elif phase == "recover":
-            until = self._delay_until
-            if until is None:
-                self._delay_until = until = self._cycle + self._delay
-            if self._cycle < until:
-                return self._sleep_until(until)
-            self._delay_until = None
-            self._clear_request()
-            self._complete(transaction)
-            self._phase = "idle"
-            return True
-
-        if self._phase == "request":
-            slot = self._slot_for(transaction.address)
-            onehot = 1 << slot
-            slave.be.schedule((1 << (slave.data_width // 8)) - 1)
-            if self._active_write:
-                # REQ strobes for a single cycle (pulse); CE/BE/DATA stay held.
-                slave.wr_req.pulse(1)
-                slave.wr_ce.schedule(onehot)
-                slave.data_to_slave.schedule(transaction.data[self._word_index])
-            else:
-                slave.rd_req.pulse(1)
-                slave.rd_ce.schedule(onehot)
-            self._phase = "wait_ack"
-            return False  # parked until the acknowledge wakes us
-        return True
-
-    def _after_beat(self, transaction: BusTransaction) -> bool:
-        """Advance to the next word or finish; returns the activity flag."""
-        slave = self.slave
-        total = len(transaction.data) if self._active_write else transaction.word_count
-        if self._word_index < total:
-            if self._active_streaming:
-                # Back-to-back beat: keep the enables, present the next word.
-                if self._active_write:
-                    slave.data_to_slave.schedule(transaction.data[self._word_index])
-                    slave.wr_req.pulse(1)
-                else:
-                    slave.rd_req.pulse(1)
-                self._phase = "wait_ack"
-                return False  # parked until the next acknowledge
-            # Single-word semantics: re-arbitrate for every beat.
-            self._clear_request()
-            self._phase = "arbitrate"
-            self._delay = self.ARBITRATION_CYCLES
-            self._phase_after_arb_request(transaction)
-            return True
-        self._clear_request()
-        self._phase = "recover"
-        self._delay = self.RECOVERY_CYCLES
-        return True
-
-    def _phase_after_arb_request(self, transaction: BusTransaction) -> None:
-        """Hook kept separate so subclasses (OPB) can add bridge latency."""
-        self._phase = "arbitrate"

@@ -37,10 +37,8 @@ from repro.rtl.fsm import (
     BoundFsm,
     FsmError,
     FsmSpec,
-    current_backend,
     detect_drive_conflicts,
     fsm_ir_fingerprint,
-    use_backend,
 )
 from repro.rtl.trace import Trace, TraceRecorder
 
@@ -90,10 +88,8 @@ __all__ = [
     "BoundFsm",
     "FsmError",
     "FsmSpec",
-    "current_backend",
     "detect_drive_conflicts",
     "fsm_ir_fingerprint",
-    "use_backend",
     "Trace",
     "TraceRecorder",
     "KERNELS",

@@ -16,8 +16,7 @@ updates, timed-wake parks — and the description has two backends:
 * a **standalone tick** (:meth:`BoundFsm.tick`): a per-machine function
   generated from the IR at bind time (bindings in closure cells, integer
   state register synchronised with the owner's state attribute per tick).
-  It is the drop-in replacement for the hand-written ``tick()`` methods
-  and is what the scan kernels (event-driven and reference) register as
+  It is what the scan kernels (event-driven and reference) register as
   the clocked process — IR execution without per-op dispatch cost; and
 * a **lowered backend** (:meth:`BoundFsm.emit_compiled_clocked` /
   :meth:`BoundFsm.emit_compiled_comb`): a code generator the
@@ -29,10 +28,11 @@ updates, timed-wake parks — and the description has two backends:
 The standalone tick and the inlined body come from the *same* emitter, so
 they cannot drift apart; the tree-walker is an independent implementation.
 ``tests/test_kernel_equivalence.py`` proves standalone and lowered
-execution cycle-exact against each other (and against the retained
-hand-written Python ticks, which stay available as the ``"python"``
-backend) on the full paper grid; ``tests/test_fsm_ir.py`` proves the
-interpreter equivalent to both on randomized machines.
+execution cycle-exact against each other on the full paper grid;
+``tests/test_fsm_ir.py`` proves the interpreter equivalent to both on
+randomized machines and pins every in-tree machine to committed golden
+traces (``tests/golden/fsm_traces.json``) recorded from the hand-written
+Python ticks the IR replaced.
 
 The IR
 ------
@@ -79,7 +79,6 @@ entries are IR-exact) and the campaign result cache folds
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -89,44 +88,6 @@ from repro.rtl.signal import Signal, schedule_zero
 
 class FsmError(ValueError):
     """Raised for malformed FSM IR (bad transitions, invalid ops, ...)."""
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-#: Backends: ``"ir"`` registers the interpreted IR tick (and lets the
-#: compiled kernel lower the machine inline); ``"python"`` registers the
-#: retained hand-written tick method — the differential-testing path and an
-#: escape hatch for scan-kernel-heavy workloads.
-BACKENDS = ("ir", "python")
-
-_backend_stack: List[str] = ["ir"]
-
-
-def current_backend() -> str:
-    """The FSM backend newly constructed machines will use."""
-    return _backend_stack[-1]
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Normalise a constructor's ``fsm_backend`` argument."""
-    name = backend if backend is not None else current_backend()
-    if name not in BACKENDS:
-        raise FsmError(f"unknown FSM backend {name!r} (known: {BACKENDS})")
-    return name
-
-
-@contextmanager
-def use_backend(backend: str):
-    """Temporarily switch the default FSM backend (tests, profiling)."""
-    if backend not in BACKENDS:
-        raise FsmError(f"unknown FSM backend {backend!r} (known: {BACKENDS})")
-    _backend_stack.append(backend)
-    try:
-        yield
-    finally:
-        _backend_stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +207,10 @@ class Call(Op):
 @dataclass(frozen=True)
 class Sleep(Op):
     """Park a pure countdown: on kernels with timed wakes, book a wake in
-    ``delta`` cycles and report quiescence; on scan kernels stay active.
-    Mirrors ``BusMaster._sleep_until`` exactly."""
+    ``delta`` cycles and report quiescence; on scan kernels, and for
+    countdowns too short to pay for a wake, stay active.  The countdown
+    re-checks its target whenever it runs, so parking is externally
+    invisible."""
 
     delta: str
 
@@ -498,10 +461,10 @@ _CTRL_NONE, _CTRL_REDISPATCH = 0, 1
 class BoundFsm:
     """An :class:`FsmSpec` bound to its owner module, signals and helpers.
 
-    ``tick`` is the interpreted backend — register it as the clocked
-    process (``module.clocked(fsm.tick, sensitive_to=[...])``) exactly like
-    a hand-written tick method; its return value is the wait-state-elision
-    activity flag.  The compiled kernel recognises the bound machine via the
+    ``tick`` is the standalone generated tick — register it as the clocked
+    process (``module.clocked(fsm.tick, sensitive_to=[...])``); its return
+    value is the wait-state-elision activity flag.  ``tick_interpreted`` is
+    the tree-walking oracle with the same contract.  The compiled kernel recognises the bound machine via the
     ``emit_compiled_clocked`` / ``emit_compiled_comb`` hooks and inlines the
     lowered form instead of calling ``tick`` at all.
     """

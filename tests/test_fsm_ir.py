@@ -1,13 +1,14 @@
-"""FSM IR unit tests: static diagnostics and backend equivalence.
+"""FSM IR unit tests: static diagnostics, form equivalence, golden traces.
 
 Three execution forms exist for every machine — the tree-walking
 interpreter (:meth:`BoundFsm.tick_interpreted`, the semantic oracle), the
 standalone generated tick (:attr:`BoundFsm.tick`, the scan-kernel backend)
 and the compiled-kernel lowering (inlined into the fused step loop).  The
 randomized tests here prove all three produce identical signal traces and
-identical machine state on machines the generator dreams up; the
-full-system tests prove the IR ports of the in-tree machines cycle-exact
-against the retained hand-written Python ticks (``fsm_backend="python"``).
+identical machine state on machines the generator dreams up; the golden
+tests pin every in-tree machine (bus masters, adapters, ICOB stubs,
+arbiter, hand-coded baselines) to ``tests/golden/fsm_traces.json``, digests
+recorded from the hand-written Python ticks the IR machines replaced.
 """
 
 import hashlib
@@ -30,7 +31,6 @@ from repro.rtl import (
     Simulator,
     TraceRecorder,
     detect_drive_conflicts,
-    use_backend,
 )
 from repro.rtl.fsm import (
     Active,
@@ -343,7 +343,8 @@ class TestGoldenTraces:
     ``tests/golden/fsm_traces.json`` pins, per (system x scenario x kernel),
     the digest of every signal on every cycle plus the scenario outcome and
     monitor violations.  It was recorded from the hand-written Python ticks
-    the IR machines replaced, so a match proves each port cycle-exact.
+    the IR machines replaced, so a match proves each port cycle-exact;
+    re-record it only for a deliberate behaviour change.
     """
 
     @pytest.fixture(scope="class")
@@ -355,21 +356,11 @@ class TestGoldenTraces:
 
     @pytest.mark.parametrize("case", GOLDEN_CASES)
     def test_case_matches_golden(self, golden, case):
-        for backend in ("ir", "python"):
-            with use_backend(backend):
-                assert golden_digest(case) == golden[case], f"{backend} backend"
-
-    def test_python_backend_still_selectable_per_module(self):
-        with use_backend("python"):
-            system = build_splice_interpolator("splice_plb").system
-        assert system.master.fsm is None  # retained tick registered
-        system2 = build_splice_interpolator("splice_plb").system
-        assert system2.master.fsm is not None
+        assert golden_digest(case) == golden[case]
 
 
 if __name__ == "__main__":
     # Re-record the golden file: PYTHONPATH=src python tests/test_fsm_ir.py
-    with use_backend("python"):
-        digests = {case: golden_digest(case) for case in GOLDEN_CASES}
+    digests = {case: golden_digest(case) for case in GOLDEN_CASES}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
