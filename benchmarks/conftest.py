@@ -11,17 +11,21 @@ import pytest
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Append-only performance trajectory: one JSON line per benchmark run.
+#: Append-only performance trajectory: one JSON line per recorded run.
 #: Unlike the ``BENCH_*.json`` artifacts (which are overwritten in place and
 #: therefore only ever show the latest numbers), this file accumulates a
 #: timestamped record per run — `git sha`, the benchmark's headline numbers —
 #: so the perf history across PRs can be read straight from the repository.
 #: Records carry a ``mode`` field (``full`` vs ``smoke`` for
 #: ``--benchmark-disable`` runs) so trajectory readers can filter out
-#: smoke-mode numbers, which are gate checks, not measurements.  Set
-#: ``SPLICE_BENCH_HISTORY=0`` to suppress appends (e.g. local tinkering that
-#: should not dirty the tracked history).
+#: smoke-mode numbers, which are gate checks, not measurements.
 HISTORY_PATH = _REPO_ROOT / "BENCH_history.jsonl"
+
+#: ``SPLICE_BENCH_RECORD=1`` rewrites the committed ``BENCH_*.json`` records
+#: (:func:`write_bench`) and appends to ``BENCH_history.jsonl``
+#: (:func:`record_history`).  Without it every gate still asserts, but a test
+#: run leaves the tracked files untouched.
+RECORD = os.environ.get("SPLICE_BENCH_RECORD") == "1"
 
 _BENCHMARKS_DISABLED = False
 
@@ -49,8 +53,15 @@ def _git_sha():
         return None
 
 
+def write_bench(path: Path, record: dict) -> None:
+    """Rewrite the committed bench record at ``path`` when recording."""
+    if RECORD:
+        path.write_text(json.dumps(record, indent=2) + "\n")
+
+
 def record_history(bench: str, headline: dict) -> dict:
-    """Append this run's headline numbers to ``BENCH_history.jsonl``.
+    """Append this run's headline numbers to ``BENCH_history.jsonl`` when
+    recording.
 
     ``bench`` names the benchmark (by convention the ``test_bench_*`` module
     stem); ``headline`` is a small JSON-serialisable dict — cycles/s, key
@@ -65,7 +76,7 @@ def record_history(bench: str, headline: dict) -> dict:
         "mode": "smoke" if _BENCHMARKS_DISABLED else "full",
         "headline": headline,
     }
-    if os.environ.get("SPLICE_BENCH_HISTORY", "1") != "0":
+    if RECORD:
         with HISTORY_PATH.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return record

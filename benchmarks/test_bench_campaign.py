@@ -21,7 +21,7 @@ import os
 import time
 from pathlib import Path
 
-from conftest import record_history
+from conftest import record_history, write_bench
 
 from repro.campaign import (
     ScenarioSweep,
@@ -93,7 +93,7 @@ def test_campaign_serial_vs_sharded_vs_cached(benchmark, once, tmp_path):
         "cache_hit_rate": warm.cache_hit_rate,
         "warm_elapsed_s": round(warm.meta["elapsed_s"], 4),
     }
-    _BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(_BENCH_PATH, record)
     print(f"\nBENCH_campaign.json: {json.dumps(record, indent=2)}")
     record_history(
         "campaign",

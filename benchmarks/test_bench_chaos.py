@@ -27,7 +27,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from conftest import record_history
+from conftest import record_history, write_bench
 
 from repro.campaign import ScenarioSweep, run_campaign, sweep_grid
 from repro.service import DONE, FAILED, SimulationFarm
@@ -127,7 +127,7 @@ def test_farm_stays_available_under_worker_kills(benchmark, once, request):
         "shards_retried": counters.get("shards_retried", 0),
         "cells_executed": counters.get("cells_executed", 0),
     }
-    _BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(_BENCH_PATH, record)
     print(f"\nBENCH_chaos.json: {json.dumps(record, indent=2)}")
     record_history(
         "chaos",

@@ -16,7 +16,7 @@ import os
 import time
 from pathlib import Path
 
-from conftest import record_history
+from conftest import record_history, write_bench
 
 from repro.fuzz.corpus import corpus_files, replay_case
 from repro.fuzz.session import run_session
@@ -59,7 +59,7 @@ def test_bench_fuzz_throughput(benchmark, once, request):
         "cases_per_s": round(report.cases_per_second, 2),
         "corpus_cases_replayed": replayed,
     }
-    _BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(_BENCH_PATH, record)
     print(f"\nBENCH_fuzz.json: {json.dumps(record, indent=2)}")
     record_history(
         "fuzz",
@@ -144,7 +144,7 @@ def test_bench_fuzz_farm_throughput(benchmark, once, request, tmp_path):
     if "seed" in merged:  # single-session record from the test above
         merged = {"session": merged}
     merged["farm"] = record
-    _BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    write_bench(_BENCH_PATH, merged)
     print(f"\nBENCH_fuzz.json[farm]: {json.dumps(record, indent=2)}")
     record_history(
         "fuzz-farm",

@@ -32,7 +32,7 @@ import math
 import time
 from pathlib import Path
 
-from conftest import record_history
+from conftest import record_history, write_bench
 
 from repro.devices.interpolator import build_splice_interpolator
 from repro.devices.timer import build_timer_system
@@ -148,7 +148,7 @@ def test_idle_leap_throughput(benchmark, once):
     except (OSError, ValueError):
         merged = {}
     merged["idle"] = record
-    _BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    write_bench(_BENCH_PATH, merged)
     print(f"\nBENCH_kernels.json[idle]: {json.dumps(record, indent=2)}")
     record_history("idle", record)
 

@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Dict
 
-from conftest import record_history
+from conftest import record_history, write_bench
 
 from repro.devices.interpolator import build_splice_interpolator
 from repro.devices.timer import build_timer_system
@@ -129,7 +129,7 @@ def test_kernel_throughput_matrix(benchmark, once):
         record["idle"] = json.loads(_BENCH_PATH.read_text())["idle"]
     except (OSError, ValueError, KeyError):
         pass
-    _BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(_BENCH_PATH, record)
     print(f"\nBENCH_kernels.json: {json.dumps(record, indent=2)}")
     record_history(
         "kernels",

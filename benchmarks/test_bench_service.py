@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from conftest import record_history
+from conftest import record_history, write_bench
 
 from repro.campaign import ScenarioSweep, run_campaign, sweep_grid
 from repro.service import ServiceClient, SimulationFarm, serve_farm_in_thread
@@ -134,7 +134,7 @@ def test_service_cold_vs_warm_latency_under_load(benchmark, once, request):
             "shard_size": stats["shard_size"],
         },
     }
-    _BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench(_BENCH_PATH, record)
     print(f"\nBENCH_service.json: {json.dumps(record, indent=2)}")
     record_history(
         "service",
@@ -220,7 +220,7 @@ def test_journal_overhead_on_warm_path(benchmark, once, request, tmp_path):
     }
     merged = json.loads(_BENCH_PATH.read_text()) if _BENCH_PATH.exists() else {}
     merged["journal_overhead"] = record
-    _BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    write_bench(_BENCH_PATH, merged)
     print(f"\njournal_overhead: {json.dumps(record, indent=2)}")
     record_history(
         "service-journal",

@@ -157,9 +157,9 @@ class PLBMaster(BusMaster):
         """The PLB request/acknowledge protocol as FSM IR.
 
         States are declared hottest-first (a transaction spends most cycles
-        waiting for an acknowledge).  The per-beat advance
-        is fully inline: streaming beats keep the enables and present the
-        next word; single-word semantics re-arbitrate per beat.
+        waiting for an acknowledge).  The per-beat advance is fully inline:
+        streaming beats keep the enables and present the next word;
+        single-word semantics re-arbitrate per beat.
         """
         after_beat = (
             Exec("tot = len(m.active.data) if m._active_write else m.active.word_count"),

@@ -464,9 +464,10 @@ class BoundFsm:
     ``tick`` is the standalone generated tick — register it as the clocked
     process (``module.clocked(fsm.tick, sensitive_to=[...])``); its return
     value is the wait-state-elision activity flag.  ``tick_interpreted`` is
-    the tree-walking oracle with the same contract.  The compiled kernel recognises the bound machine via the
-    ``emit_compiled_clocked`` / ``emit_compiled_comb`` hooks and inlines the
-    lowered form instead of calling ``tick`` at all.
+    the tree-walking oracle with the same contract.  The compiled kernel
+    recognises the bound machine via the ``emit_compiled_clocked`` /
+    ``emit_compiled_comb`` hooks and inlines the lowered form instead of
+    calling ``tick`` at all.
     """
 
     def __init__(

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,6 +58,10 @@ from repro.rtl.compile import PROGRAM_CACHE_ENV
 #: implicitly through per-cell messages; fuzz sessions run many cases per
 #: second, so their liveness signal is throttled to one message per second).
 FUZZ_HEARTBEAT_EVERY_S = 1.0
+
+#: Seconds an idle worker waits for a task before checking that its server
+#: is still alive.
+ORPHAN_CHECK_S = 1.0
 
 
 def _parse_preload(entry) -> Tuple[str, str]:
@@ -79,6 +84,8 @@ def worker_main(
 ) -> None:
     """Worker process entry point (module-level, so it pickles under spawn)."""
     from repro.devices.registry import build_runner
+
+    server_pid = os.getppid()
 
     if program_cache_dir:
         # Reaches every CompiledSimulator this process ever builds; the
@@ -123,7 +130,16 @@ def worker_main(
     result_queue.put(("ready", worker_id, dict(stats, resident=len(runners))))
 
     while True:
-        message = task_queue.get()
+        try:
+            message = task_queue.get(timeout=ORPHAN_CHECK_S)
+        except queue.Empty:
+            # Nothing wakes a blocked get() when the server dies without
+            # sending the shutdown sentinel (SIGKILL): the worker holds the
+            # queue's write end itself.  An idle worker whose parent changed
+            # was orphaned, and exits.
+            if os.getppid() != server_pid:
+                break
+            continue
         if message is None:
             break
         if message[0] == "fuzz":

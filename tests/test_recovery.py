@@ -492,3 +492,39 @@ class TestServeKillRecovery:
                 "exit_code": report.exit_code,
             })
         assert result["sessions"] == expected  # bit-identical to uninterrupted
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestWorkersDieWithServer:
+    def test_workers_exit_after_the_server_is_sigkilled(self, tmp_path):
+        """A SIGKILLed server sends no shutdown sentinel; its idle workers
+        must notice they were orphaned and exit instead of blocking forever
+        on their task queues."""
+        proc, client = _start_serve(tmp_path / "state", extra=("--workers", "2"))
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                pids = [w.get("pid") for w in client.stats()["workers"]]
+                if len(pids) == 2 and all(pids):
+                    break
+                assert time.monotonic() < deadline, "workers never became ready"
+                time.sleep(0.1)
+            os.kill(proc.pid, signal.SIGKILL)
+        finally:
+            _stop_serve(proc)
+
+        deadline = time.monotonic() + 10
+        alive = pids
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.1)
+            alive = [pid for pid in pids if _running(pid)]
+        assert alive == [], f"workers outlived their server: {alive}"
