@@ -62,13 +62,17 @@ ResultCallback = Callable[[CampaignCell, Union[CellOutcome, CellError]], None]
 def execute_cells(
     cells: Sequence[CampaignCell],
     on_result: Optional[ResultCallback] = None,
+    runners: Optional[Dict[tuple, tuple]] = None,
 ) -> Dict[tuple, Union[CellOutcome, CellError]]:
     """Run ``cells`` in-process, building each (implementation, kernel) once.
 
-    This is both the whole of :class:`SerialExecutor` and the per-worker body
-    of :class:`ShardedExecutor` — a single code path keeps the two executors
-    trivially equivalent.  (Workers call it without ``on_result``; callbacks
-    don't cross process boundaries.)
+    This is the whole of :class:`SerialExecutor`, the per-worker body of
+    :class:`ShardedExecutor`, and the per-cell body of the service's warm
+    workers — one code path keeps every executor trivially equivalent.
+    (Workers call it without ``on_result``; callbacks don't cross process
+    boundaries.)  ``runners`` is an optional caller-held dict of built
+    runners, ``(label, kernel) -> (runner, applied fault schedule)``; pass
+    the same dict to every call to keep runners resident across calls.
 
     Cells carrying a fault schedule attach it to the shared runner before the
     scenario and clear it after; a faulted cell whose simulation raises (a
@@ -78,8 +82,7 @@ def execute_cells(
     untouched: they share runners as before and a raise still propagates.
     """
     outcomes: Dict[tuple, Union[CellOutcome, CellError]] = {}
-    runners: Dict[tuple, object] = {}
-    applied: Dict[tuple, Optional[str]] = {}
+    runners = {} if runners is None else runners
 
     def emit(cell: CampaignCell, value: Union[CellOutcome, CellError]) -> None:
         outcomes[cell.key] = value
@@ -88,11 +91,10 @@ def execute_cells(
 
     for cell in sorted(cells, key=lambda c: c.key):
         runner_key = (cell.label, cell.kernel)
-        faults = getattr(cell, "faults", None)
-        runner = runners.get(runner_key)
-        if runner is None:
-            runner = runners[runner_key] = build_runner(cell.label, kernel=cell.kernel)
-            applied[runner_key] = None
+        faults = cell.faults
+        if runner_key not in runners:
+            runners[runner_key] = (build_runner(cell.label, kernel=cell.kernel), None)
+        runner, applied = runners[runner_key]
         apply_faults = getattr(runner, "apply_faults", None)
         if faults is not None and apply_faults is None:
             emit(cell, CellError(
@@ -100,9 +102,9 @@ def execute_cells(
                 message=f"runner {cell.label!r} cannot inject fault schedule {faults!r}",
             ))
             continue
-        if apply_faults is not None and applied[runner_key] != faults:
+        if apply_faults is not None and applied != faults:
             apply_faults(faults)
-            applied[runner_key] = faults
+            runners[runner_key] = (runner, faults)
         sets = cell.generate_inputs()
         if faults is None:
             outcome = runner.run_scenario(sets)
@@ -113,7 +115,6 @@ def execute_cells(
                 # The faulted system may be wedged mid-handshake: drop the
                 # runner so later cells of this label rebuild fresh.
                 runners.pop(runner_key, None)
-                applied.pop(runner_key, None)
                 emit(cell, CellError(
                     kind="cell_exception",
                     message=f"fault schedule {faults!r}: {type(exc).__name__}: {exc}",

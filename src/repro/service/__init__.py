@@ -28,9 +28,11 @@ loses nothing — a restart on the same directory replays the journal,
 re-enqueues every non-terminal job, and resumes each from its completed
 work (campaign cells from the result cache, fuzz sessions from the
 journal), bit-identical to an uninterrupted run.  Fuzz jobs
-(:class:`~repro.service.jobs.FuzzJobSpec`) are a first-class workload:
+(:class:`~repro.service.kinds.FuzzJobSpec`) are a first-class workload:
 seed ranges shard across the warm workers, findings stream back live and
-land in the server-side corpus.
+land in the server-side corpus.  What one workload does differently from
+another lives in one :class:`~repro.service.kinds.JobKind` per workload;
+the rest of the package never branches on kind.
 """
 
 from repro.service.api import build_handler, serve_farm, serve_farm_in_thread
@@ -43,16 +45,13 @@ from repro.service.farm import (
     resolve_workers,
 )
 from repro.service.jobs import (
-    CAMPAIGN,
     CANCELLED,
     DONE,
     FAILED,
-    FUZZ,
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
     TIMEOUT,
-    FuzzJobSpec,
     Job,
     JobQueue,
     Shard,
@@ -64,6 +63,7 @@ from repro.service.journal import (
     append_jsonl,
     replay_journal,
 )
+from repro.service.kinds import CAMPAIGN, FUZZ, KINDS, FuzzJobSpec, JobKind, kind_of
 
 __all__ = [
     "SimulationFarm",
@@ -80,6 +80,9 @@ __all__ = [
     "JobQueue",
     "Shard",
     "FuzzJobSpec",
+    "JobKind",
+    "KINDS",
+    "kind_of",
     "CAMPAIGN",
     "FUZZ",
     "QUEUED",

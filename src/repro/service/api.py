@@ -2,12 +2,12 @@
 
 Pure stdlib (``http.server``), no new dependencies.  Endpoints:
 
-* ``POST /jobs`` — submit a job.  Body is JSON: a campaign as either
+* ``POST /jobs`` — submit a job.  Body is JSON, the spec payload under its
+  kind's key (:func:`repro.service.kinds.job_request`): a campaign as
   ``{"spec": {...}, "priority": 0, "timeout_s": null}`` or a bare spec dict
-  (anything with an ``"implementations"`` key), where the spec payload is
-  exactly :meth:`repro.campaign.spec.CampaignSpec.describe` — or a fuzz job
-  as ``{"fuzz": {"seed_start": 0, "sessions": 8, "budget": 40, ...}}``
-  (the payload of :meth:`repro.service.jobs.FuzzJobSpec.describe`).
+  (anything with an ``"implementations"`` key), the payload being exactly
+  :meth:`repro.campaign.spec.CampaignSpec.describe` — or a fuzz job as
+  ``{"fuzz": {"seed_start": 0, "sessions": 8, "budget": 40, ...}}``.
   Returns 201 with the job snapshot.  An ``Idempotency-Key`` request header
   makes the submission safe to retry: a repeated key returns the original
   job (200, snapshot carries ``"duplicate": true``) instead of enqueuing a
@@ -49,6 +49,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.service.farm import FarmSaturated, SimulationFarm
 from repro.service.jobs import CANCELLED, DONE, FAILED, TIMEOUT
+from repro.service.kinds import job_request
 
 _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9_.-]+)(/events|/result)?$")
 
@@ -160,12 +161,8 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
         if body is None:
             self._error(400, "expected a JSON body")
             return
-        fuzz_payload = body.get("fuzz")
-        spec_payload = body.get("spec", body)
-        if fuzz_payload is None and (
-            not isinstance(spec_payload, dict)
-            or "implementations" not in spec_payload
-        ):
+        request = job_request(body)
+        if request is None:
             self._error(400, "body must carry a campaign spec (a 'spec' object "
                              "or a bare spec with 'implementations') or a "
                              "'fuzz' object with seed_start/sessions/budget")
@@ -184,20 +181,12 @@ class FarmRequestHandler(BaseHTTPRequestHandler):
             idempotency_key is not None
             and self.farm.job_for_key(idempotency_key) is not None
         )
+        kind, payload = request
         try:
-            if fuzz_payload is not None:
-                if not isinstance(fuzz_payload, dict):
-                    self._error(400, "'fuzz' must be an object")
-                    return
-                job = self.farm.submit_fuzz(
-                    fuzz_payload, priority=priority, timeout_s=timeout_s,
-                    idempotency_key=idempotency_key,
-                )
-            else:
-                job = self.farm.submit(
-                    spec_payload, priority=priority, timeout_s=timeout_s,
-                    idempotency_key=idempotency_key,
-                )
+            job = self.farm.submit(
+                kind.coerce(payload), priority=priority, timeout_s=timeout_s,
+                idempotency_key=idempotency_key,
+            )
         except (KeyError, TypeError, ValueError) as exc:
             self._error(400, f"invalid job spec: {exc}")
             return

@@ -25,12 +25,15 @@ front ends drive.  One farm owns:
   in-flight shard once, then failing those cells with structured error
   records), and feeds idle workers the next shard.
 
-Two job kinds share all of that machinery: campaign grids (shards of
-cells) and fuzz jobs (shards of deterministic ``(seed, budget)`` sessions,
-findings streamed as they land and auto-appended to the server-side
-corpus).  Backpressure is a bounded count of active jobs — saturated
-submissions raise :class:`FarmSaturated`, which the HTTP layer maps to
-``503`` + ``Retry-After``.
+Every job kind shares all of that machinery without the farm branching on
+kind: each :class:`~repro.service.kinds.JobKind` expands its spec into
+units, answers what it can at admit time, and shapes its events, journal
+records and result.  Campaign grids shard cells; fuzz jobs shard
+deterministic ``(seed, budget)`` sessions, with findings streamed as they
+land and auto-appended to the server-side corpus.  Backpressure is a
+bounded count of active jobs — saturated submissions raise
+:class:`FarmSaturated`, which the HTTP layer maps to ``503`` +
+``Retry-After``.
 
 Everything observable — job state, per-cell progress, worker stats — is
 mutated under one condition lock and published through job event logs, so
@@ -42,31 +45,28 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as stdlib_queue
 import shutil
 import tempfile
 import threading
 import time
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.campaign.cache import ResultCache, cell_digest
+from repro.campaign.cache import ResultCache
 from repro.campaign.executor import CellError
-from repro.campaign.spec import CampaignSpec
 from repro.service.jobs import (
-    CAMPAIGN,
     CANCELLED,
     DONE,
     FAILED,
-    FUZZ,
     QUEUED,
     RUNNING,
     TIMEOUT,
-    FuzzJobSpec,
     Job,
     JobQueue,
     Shard,
 )
+from repro.service.kinds import FUZZ, KINDS, kind_of
 from repro.service.journal import (
     JOURNAL_FILENAME,
     JobJournal,
@@ -90,6 +90,10 @@ DEFAULT_STUCK_TIMEOUT_S = 300.0
 
 #: Retry-After seconds suggested to clients bounced by backpressure.
 DEFAULT_RETRY_AFTER_S = 1.0
+
+#: Seconds the dispatcher waits for a worker message before it re-checks
+#: timeouts, stuck and dead workers anyway.
+POLL_INTERVAL_S = 0.02
 
 
 class FarmSaturated(RuntimeError):
@@ -125,20 +129,17 @@ class SimulationFarm:
         cache: Union[ResultCache, Path, str, None] = None,
         preload: Sequence = (),
         shard_size: int = DEFAULT_SHARD_SIZE,
-        poll_interval_s: float = 0.02,
         name: str = "splice-farm",
         state_dir: Union[Path, str, None] = None,
         queue_limit: Optional[int] = None,
         stuck_timeout_s: Optional[float] = DEFAULT_STUCK_TIMEOUT_S,
         corpus_dir: Union[Path, str, None] = None,
         history_path: Union[Path, str, None] = None,
-        journal_fsync: bool = True,
     ) -> None:
         self.name = name
         self.worker_count = resolve_workers(workers)
         self.shard_size = max(1, shard_size)
         self.preload = tuple(preload)
-        self._poll_interval_s = poll_interval_s
         self.queue_limit = queue_limit
         self.stuck_timeout_s = stuck_timeout_s
 
@@ -150,9 +151,7 @@ class SimulationFarm:
         if state_dir is not None:
             self.state_dir = Path(state_dir)
             self.state_dir.mkdir(parents=True, exist_ok=True)
-            self._journal = JobJournal(
-                self.state_dir / JOURNAL_FILENAME, fsync=journal_fsync
-            )
+            self._journal = JobJournal(self.state_dir / JOURNAL_FILENAME)
             if cache is None:
                 cache = self.state_dir / "cache"
             if corpus_dir is None:
@@ -182,26 +181,18 @@ class SimulationFarm:
         self._draining = False
         self._started_at: Optional[float] = None
         self._ctx = multiprocessing.get_context()
-        self._result_queue = None
+        self._wake_r = self._wake_w = None
         self._dispatcher: Optional[threading.Thread] = None
-        self.counters = {
-            "cells_total": 0,
-            "cells_cached": 0,
-            "cells_executed": 0,
-            "cells_failed": 0,
-            "cells_discarded": 0,
-            "sessions_total": 0,
-            "sessions_executed": 0,
-            "sessions_recovered": 0,
-            "sessions_failed": 0,
-            "findings": 0,
-            "workers_respawned": 0,
-            "workers_stuck_killed": 0,
-            "shards_dispatched": 0,
-            "shards_retried": 0,
-            "jobs_recovered": 0,
-            "jobs_rejected": 0,
-        }
+        self.counters = dict.fromkeys((
+            counter for kind in KINDS.values()
+            for counter in (kind.total_counter, kind.answered_counter,
+                            kind.executed_counter, kind.failed_counter)
+        ), 0)
+        self.counters.update(dict.fromkeys((
+            "cells_discarded", "findings", "workers_respawned",
+            "workers_stuck_killed", "shards_dispatched", "shards_retried",
+            "jobs_recovered", "jobs_rejected",
+        ), 0))
 
     @property
     def lock(self) -> threading.Condition:
@@ -217,10 +208,13 @@ class SimulationFarm:
     def start(self) -> "SimulationFarm":
         if self._running:
             return self
-        self._result_queue = self._ctx.Queue()
+        # Submitters wake the dispatcher through a self-pipe; it never
+        # blocks them (a full pipe already means a wake is pending).
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
         self._workers = [
-            spawn_worker(self._ctx, worker_id, self._result_queue,
-                         self.cache.program_cache_dir, self.preload)
+            spawn_worker(self._ctx, worker_id, self.cache.program_cache_dir,
+                         self.preload)
             for worker_id in range(self.worker_count)
         ]
         self._running = True
@@ -247,7 +241,7 @@ class SimulationFarm:
                 if not job.is_terminal:
                     job.pending_shards.clear()
                     job.enter_state(CANCELLED, reason="farm stopped")
-        self._result_queue.put(("wake",))
+        self._wake()
         self._dispatcher.join(timeout=10)
         for handle in self._workers:
             try:
@@ -261,8 +255,9 @@ class SimulationFarm:
                 handle.process.join(timeout=2)
             handle.task_queue.close()
             handle.task_queue.cancel_join_thread()
-        self._result_queue.close()
-        self._result_queue.cancel_join_thread()
+            handle.results.close()
+        os.close(self._wake_r)
+        os.close(self._wake_w)
         if self._journal is not None:
             self._journal.close()
         if self._ephemeral_cache_dir is not None:
@@ -278,34 +273,26 @@ class SimulationFarm:
 
     def submit(
         self,
-        spec: Union[CampaignSpec, Mapping],
+        spec,
         *,
         priority: int = 0,
         timeout_s: Optional[float] = None,
         idempotency_key: Optional[str] = None,
     ) -> Job:
-        """Queue a campaign spec; returns the live :class:`Job`.
+        """Queue a job; returns the live :class:`Job`.
 
-        Cells already present in the shared result cache are satisfied here,
-        synchronously — a fully-cached submission completes without ever
-        touching the queue or a worker.  A repeated ``idempotency_key``
-        returns the original job instead of enqueuing a duplicate (the key
-        is journaled, so the dedupe survives a server restart for every job
-        that does).
+        ``spec`` is a spec object of any kind, or a campaign spec's
+        ``describe()`` mapping.  Units the kind can answer at admit (cached
+        cells) are satisfied here, synchronously — a fully-cached
+        submission completes without ever touching the queue or a worker.
+        A repeated ``idempotency_key`` returns the original job instead of
+        enqueuing a duplicate (the key is journaled, so the dedupe survives
+        a server restart for every job that does).
         """
         self._check_accepting()
-        if not isinstance(spec, CampaignSpec):
-            spec = CampaignSpec.from_dict(dict(spec))
-
-        # Cache lookups happen outside the lock: digesting a cell hashes its
-        # generated inputs, which is pure CPU and must not serialise
-        # concurrent submissions more than the GIL already does.
-        cached = {}
-        for cell in spec.cells():
-            outcome = self.cache.get(cell)
-            if outcome is not None:
-                cached[cell.key] = outcome
-
+        kind = kind_of(spec)
+        spec = kind.coerce(spec)
+        answered = kind.answer(spec, self.cache, {})
         with self._cond:
             existing = self._idempotent(idempotency_key)
             if existing is not None:
@@ -318,52 +305,19 @@ class SimulationFarm:
             )
             self._register_key(job, idempotency_key)
             self._journal_append(
-                "submitted", job=job.id, kind=CAMPAIGN, priority=priority,
-                timeout_s=timeout_s, spec=spec.describe(),
-                idempotency_key=idempotency_key,
+                "submitted", job=job.id, kind=kind.name, priority=priority,
+                timeout_s=timeout_s, idempotency_key=idempotency_key,
+                **{kind.spec_key: spec.describe()},
             )
-            self._admit_campaign(job, cached)
+            self._admit(job, *answered)
         self._journal_sync()
-        self._result_queue.put(("wake",))
+        self._wake()
         return job
 
-    def submit_fuzz(
-        self,
-        spec: Union[FuzzJobSpec, Mapping],
-        *,
-        priority: int = 0,
-        timeout_s: Optional[float] = None,
-        idempotency_key: Optional[str] = None,
-    ) -> Job:
-        """Queue a fuzz job: one deterministic session per seed in the range.
-
-        Each session becomes its own shard, so a job's seed range spreads
-        across every idle warm worker; findings stream into the job's event
-        log (and the server-side corpus) as workers shrink them.
-        """
-        self._check_accepting()
-        if not isinstance(spec, FuzzJobSpec):
-            spec = FuzzJobSpec.from_dict(dict(spec))
-        with self._cond:
-            existing = self._idempotent(idempotency_key)
-            if existing is not None:
-                return existing
-            self._check_saturation()
-            self._job_seq += 1
-            job = Job(
-                f"j{self._job_seq:06d}", spec, kind=FUZZ,
-                priority=priority, timeout_s=timeout_s, cond=self._cond,
-            )
-            self._register_key(job, idempotency_key)
-            self._journal_append(
-                "submitted", job=job.id, kind=FUZZ, priority=priority,
-                timeout_s=timeout_s, fuzz=spec.describe(),
-                idempotency_key=idempotency_key,
-            )
-            self._admit_fuzz(job, restored={})
-        self._journal_sync()
-        self._result_queue.put(("wake",))
-        return job
+    def submit_fuzz(self, spec, **options) -> Job:
+        """Queue a fuzz job (a :class:`~repro.service.kinds.FuzzJobSpec` or
+        its mapping): one deterministic session per seed in the range."""
+        return self.submit(FUZZ.coerce(spec), **options)
 
     def _check_accepting(self) -> None:
         if not self._running:
@@ -407,94 +361,49 @@ class SimulationFarm:
             self._journal.sync()
 
     def _journal_terminal(self, job: Job) -> None:
-        """Record a terminal transition durably (and the fuzz trajectory)."""
+        """Record a terminal transition durably (and the kind's trajectory)."""
         self._journal_append("finished", job=job.id, state=job.state)
-        if job.kind == FUZZ and job.state == DONE and self.history_path is not None:
-            try:
-                payload = job.fuzz_result()
-                append_jsonl(self.history_path, {
-                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                    "bench": "fuzz_farm",
-                    "mode": "service",
-                    "headline": {
-                        "job": job.id,
-                        "seed_start": job.spec.seed_start,
-                        "sessions": job.spec.sessions,
-                        "budget": job.spec.budget,
-                        "profile": job.spec.profile,
-                        "with_faults": job.spec.with_faults,
-                        "executed": payload["executed"],
-                        "findings": len(payload["counterexamples"]),
-                        "coverage_cells": len(payload["coverage"]),
-                        "coverage": payload["coverage"],
-                    },
-                })
-            except Exception:
-                # The trajectory file is observability, never worth failing
-                # a finished job over (e.g. read-only checkout).
-                pass
+        if job.state != DONE or self.history_path is None:
+            return
+        try:
+            record = job.kind.history_record(job)
+            if record is not None:
+                append_jsonl(self.history_path, record)
+        except Exception:
+            # The trajectory file is observability, never worth failing
+            # a finished job over (e.g. read-only checkout).
+            pass
 
-    def _admit_campaign(self, job: Job, cached: dict) -> None:
-        """Lock held: register, answer cached cells, shard the rest."""
+    def _admit(self, job: Job, cached: dict, fresh: dict) -> None:
+        """Lock held: register, take the units answered at admit, shard the rest."""
+        kind = job.kind
         self._jobs[job.id] = job
-        job.cached = cached
-        pending = [cell for cell in sorted(job.cells, key=lambda c: c.key)
-                   if cell.key not in cached]
-        self.counters["cells_total"] += len(job.cells)
-        self.counters["cells_cached"] += len(cached)
+        job.cached, job.fresh = cached, fresh
+        answered = len(cached) + len(fresh)
+        self.counters[kind.total_counter] += len(job.cells)
+        self.counters[kind.answered_counter] += answered
         extra = {"recovered": True} if job.recovered else {}
         job.emit(
             "submitted",
             name=job.spec.name,
-            kind=CAMPAIGN,
+            kind=kind.name,
             priority=job.priority,
             timeout_s=job.timeout_s,
-            cells_total=len(job.cells),
-            cells_cached=len(cached),
+            **kind.submitted_fields(job),
             **extra,
         )
         if cached:
             job.emit("cached", cells=len(cached))
+        pending = sorted(key for key in job.by_key
+                         if key not in cached and key not in fresh)
         if not pending:
-            job.enter_state(DONE, cells_cached=len(cached))
+            job.enter_state(DONE, **{kind.answered_field: answered})
             self._journal_terminal(job)
             return
-        for shard_id, start in enumerate(range(0, len(pending), self.shard_size)):
-            job.pending_shards.append(
-                Shard(job.id, shard_id, pending[start:start + self.shard_size])
-            )
-        self._queue.push(job)
-
-    def _admit_fuzz(self, job: Job, restored: Dict[int, dict]) -> None:
-        """Lock held: register a fuzz job; one shard per not-yet-run seed."""
-        self._jobs[job.id] = job
-        for seed, payload in restored.items():
-            if seed in set(job.cells):
-                job.fresh[seed] = payload
-        self.counters["sessions_total"] += len(job.cells)
-        self.counters["sessions_recovered"] += len(job.fresh)
-        extra = {"recovered": True} if job.recovered else {}
-        job.emit(
-            "submitted",
-            name=job.spec.name,
-            kind=FUZZ,
-            priority=job.priority,
-            timeout_s=job.timeout_s,
-            seed_start=job.spec.seed_start,
-            sessions=job.spec.sessions,
-            budget=job.spec.budget,
-            profile=job.spec.profile,
-            with_faults=job.spec.with_faults,
-            sessions_done=len(job.fresh),
-            **extra,
-        )
-        pending = [seed for seed in job.cells if seed not in job.fresh]
-        if not pending:
-            job.enter_state(DONE, sessions=len(job.fresh))
-            self._journal_terminal(job)
-            return
-        for shard_id, seed in enumerate(pending):
-            job.pending_shards.append(Shard(job.id, shard_id, [seed]))
+        size = kind.shard_size(self.shard_size)
+        for shard_id, start in enumerate(range(0, len(pending), size)):
+            units = [job.by_key[key] for key in pending[start:start + size]]
+            job.pending_shards.append(Shard(job.id, shard_id, units))
         self._queue.push(job)
 
     # -- recovery ----------------------------------------------------------------
@@ -502,13 +411,12 @@ class SimulationFarm:
     def _recover(self) -> None:
         """Replay the journal: re-enqueue every non-terminal job.
 
-        Campaign jobs resume through the shared result cache — every cell a
-        previous incarnation completed was persisted there before its
-        ``shard_done`` record, so re-admission answers those cells at
-        submit time and only the remainder is re-sharded.  Fuzz jobs resume
-        from the journaled session payloads (the deterministic record of
-        each completed seed).  Job ids, priorities and idempotency keys are
-        preserved; the journal is compacted so repeated crash/restart
+        Each job is re-admitted through its kind's ``answer``: campaign
+        cells a previous incarnation completed were persisted to the shared
+        result cache before their ``shard_done`` record, and fuzz sessions
+        are restored from the journaled session payloads — so only the
+        remainder is re-sharded.  Job ids, priorities and idempotency keys
+        are preserved; the journal is compacted so repeated crash/restart
         cycles do not grow it.
         """
         replay = replay_journal(self._journal.path)
@@ -525,32 +433,19 @@ class SimulationFarm:
                 # cells were never promised beyond the journal.
                 continue
         if live:
-            self._result_queue.put(("wake",))
+            self._wake()
 
     def _readmit(self, record: JournaledJob) -> None:
-        if record.kind == FUZZ:
-            spec = FuzzJobSpec.from_dict(dict(record.payload))
-            with self._cond:
-                job = Job(record.job_id, spec, kind=FUZZ,
-                          priority=record.priority, timeout_s=record.timeout_s,
-                          cond=self._cond)
-                job.recovered = True
-                self._register_key(job, record.idempotency_key)
-                self._admit_fuzz(job, restored=record.sessions)
-            return
-        spec = CampaignSpec.from_dict(dict(record.payload))
-        cached = {}
-        for cell in spec.cells():
-            outcome = self.cache.get(cell)
-            if outcome is not None:
-                cached[cell.key] = outcome
+        kind = KINDS[record.kind]
+        spec = kind.coerce(record.payload)
+        answered = kind.answer(spec, self.cache, record.restored)
         with self._cond:
             job = Job(record.job_id, spec,
                       priority=record.priority, timeout_s=record.timeout_s,
                       cond=self._cond)
             job.recovered = True
             self._register_key(job, record.idempotency_key)
-            self._admit_campaign(job, cached)
+            self._admit(job, *answered)
 
     # -- control -----------------------------------------------------------------
 
@@ -639,24 +534,37 @@ class SimulationFarm:
 
     # -- dispatcher --------------------------------------------------------------
 
+    def _wake(self) -> None:
+        """Interrupt the dispatcher's wait (new work, or stop)."""
+        try:
+            os.write(self._wake_w, b"!")
+        except BlockingIOError:
+            pass
+
     def _dispatch_loop(self) -> None:
         while True:
+            channels = {handle.results: handle for handle in self._workers}
             try:
-                message = self._result_queue.get(timeout=self._poll_interval_s)
-            except stdlib_queue.Empty:
-                message = None
-            except (EOFError, OSError):
+                ready = wait([self._wake_r, *channels], timeout=POLL_INTERVAL_S)
+            except (OSError, ValueError):
                 return
+            messages = []
+            for channel in ready:
+                if channel == self._wake_r:
+                    os.read(self._wake_r, 4096)
+                    continue
+                try:
+                    while channel.poll():
+                        messages.append(channel.recv())
+                except (EOFError, OSError):
+                    # The worker is gone: reap it, so _check_workers respawns
+                    # it this round rather than the loop spinning on EOF.
+                    channels[channel].process.join(timeout=1.0)
             with self._cond:
                 if not self._running:
                     return
-                if message is not None:
+                for message in messages:
                     self._handle(message)
-                while True:  # drain whatever else already arrived
-                    try:
-                        self._handle(self._result_queue.get_nowait())
-                    except stdlib_queue.Empty:
-                        break
                 self._check_timeouts()
                 self._check_stuck()
                 self._check_workers()
@@ -664,162 +572,83 @@ class SimulationFarm:
             self._journal_sync()
 
     def _handle(self, message) -> None:
-        kind = message[0]
-        if kind == "wake":
-            return
+        tag = message[0]
         # Every worker→parent message carries the worker id at index 1;
         # any message is proof of life for the stuck-worker watchdog.
-        worker_id = message[1]
-        if 0 <= worker_id < len(self._workers):
-            self._workers[worker_id].last_message_at = time.perf_counter()
-        if kind == "heartbeat":
+        handle = self._workers[message[1]]
+        handle.last_message_at = time.perf_counter()
+        if tag == "ready":
+            handle.ready, handle.stats = True, message[2]
             return
-        if kind == "ready":
-            _, worker_id, stats = message
-            handle = self._workers[worker_id]
-            handle.ready = True
-            handle.stats = stats
+        if tag == "heartbeat":
             return
-        if kind == "cell":
-            _, worker_id, job_id, shard_id, key, outcome = message
-            job = self._jobs.get(job_id)
-            if job is None or job.is_terminal:
-                self.counters["cells_discarded"] += 1
-                return
-            job.fresh[key] = outcome
-            self.counters["cells_executed"] += 1
-            cell = job.by_key[key]
-            self.cache.put(cell, outcome)
-            extra = {} if cell.faults is None else {"faults": cell.faults}
-            job.emit(
-                "cell",
-                label=cell.label,
-                scenario=cell.scenario.number,
-                seed=cell.seed,
-                repeat=cell.repeat,
-                kernel=cell.kernel,
-                **extra,
-                result=outcome[0],
-                cycles=outcome[1],
-                transactions=outcome[2],
-                worker=worker_id,
-                done=job.cells_done,
-                total=len(job.cells),
-            )
-            return
-        if kind == "cell_error":
-            _, worker_id, job_id, shard_id, key, text = message
-            job = self._jobs.get(job_id)
-            if job is None or job.is_terminal:
-                self.counters["cells_discarded"] += 1
-                return
-            job.errors[key] = CellError(kind="cell_exception", message=text)
-            self.counters["cells_failed"] += 1
-            cell = job.by_key[key]
-            extra = {} if cell.faults is None else {"faults": cell.faults}
-            job.emit(
-                "cell_error",
-                label=cell.label,
-                scenario=cell.scenario.number,
-                seed=cell.seed,
-                repeat=cell.repeat,
-                **extra,
-                error=text,
-                worker=worker_id,
-                done=job.cells_done,
-                total=len(job.cells),
-            )
-            return
-        if kind == "finding":
-            _, worker_id, job_id, shard_id, record = message
-            job = self._jobs.get(job_id)
-            if job is None or job.is_terminal:
-                return
-            self.counters["findings"] += 1
-            verdict = record.get("verdict", {}) if isinstance(record, dict) else {}
-            job.emit(
-                "finding",
-                kind=record.get("kind"),
-                token=record.get("token"),
-                kernel=verdict.get("kernel"),
-                detail=verdict.get("detail"),
-                worker=worker_id,
-                shard=shard_id,
-            )
-            self._save_finding(record)
-            return
-        if kind == "fuzz_error":
-            _, worker_id, job_id, shard_id, seed, text = message
-            self._finish_worker_shard(worker_id, job_id, shard_id)
-            job = self._jobs.get(job_id)
-            if job is None or job.is_terminal:
-                return
-            job.errors[seed] = CellError(kind="fuzz_error", message=text)
-            self.counters["sessions_failed"] += 1
-            job.emit("session_error", seed=seed, error=text, worker=worker_id,
-                     done=job.cells_done, total=len(job.cells))
-            self._maybe_finalize(job)
-            return
-        if kind == "fuzz_done":
-            _, worker_id, job_id, shard_id, payload, duration_s, stats = message
-            self._workers[worker_id].stats = stats
-            self._finish_worker_shard(worker_id, job_id, shard_id)
-            job = self._jobs.get(job_id)
-            if job is None or job.is_terminal:
-                return
-            seed = payload["seed"]
-            job.fresh[seed] = payload
-            self.counters["sessions_executed"] += 1
-            self._journal_append("shard_done", job=job_id, shard=shard_id,
-                                 seed=seed, session=payload)
-            job.emit(
-                "session",
-                seed=seed,
-                executed=payload["executed"],
-                rounds=payload["rounds"],
-                findings=len(payload["counterexamples"]),
-                coverage=len(payload["coverage"]),
-                duration_s=duration_s,
-                worker=worker_id,
-                done=job.cells_done,
-                total=len(job.cells),
-            )
-            self._maybe_finalize(job)
-            return
-        if kind == "shard_done":
-            _, worker_id, job_id, shard_id, stats = message
-            self._workers[worker_id].stats = stats
-            job = self._jobs.get(job_id)
-            if (self._journal is not None and job is not None
-                    and job.kind == CAMPAIGN):
-                shard = job.in_flight.get(shard_id)
-                if shard is not None:
-                    # Digests only: the outcomes were already persisted to
-                    # the shared ResultCache per cell, so recovery answers
-                    # this shard from the cache; the record documents which
-                    # cells are durably done (and is cheap — cell_digest is
-                    # memoised from the submit-time cache lookup).
-                    self._journal_append(
-                        "shard_done", job=job_id, shard=shard_id,
-                        cells=[cell_digest(c) for c in shard.cells],
-                    )
-            self._finish_worker_shard(worker_id, job_id, shard_id)
-            if job is not None and not job.is_terminal:
-                self._maybe_finalize(job)
-
-    def _finish_worker_shard(self, worker_id: int, job_id: str, shard_id: int) -> None:
-        """Lock held: clear the worker's busy slot and the job's in-flight."""
-        handle = self._workers[worker_id]
-        shard = handle.busy
-        handle.busy = None
-        if shard is not None and shard.dispatched_at is not None:
-            handle.busy_s += time.perf_counter() - shard.dispatched_at
+        _, worker_id, job_id, shard_id, *body = message
         job = self._jobs.get(job_id)
-        if job is not None:
-            job.in_flight.pop(shard_id, None)
+        if tag == "shard_done":
+            handle.stats = body[0]
+            shard, handle.busy = handle.busy, None
+            if shard is not None and shard.dispatched_at is not None:
+                handle.busy_s += time.perf_counter() - shard.dispatched_at
+            if job is not None:
+                job.in_flight.pop(shard_id, None)
+                if not job.is_terminal:
+                    self._maybe_finalize(job)
+            return
+        if job is None or job.is_terminal:
+            if tag != "finding":
+                self.counters["cells_discarded"] += 1
+            return
+        if tag == "finding":
+            self._finding(job, worker_id, shard_id, body[0])
+            return
+        kind = job.kind
+        if tag == "unit":
+            key, value, note = body
+            job.fresh[key] = value
+            self.counters[kind.executed_counter] += 1
+            kind.persist(self.cache, job, key, value)
+            event = kind.unit_event
+            fields = dict(kind.unit_fields(job, key, value), **note)
+        else:  # "unit_error": the worker isolated a unit that raised
+            key, error = body
+            job.errors[key] = error
+            self.counters[kind.failed_counter] += 1
+            event = kind.error_event
+            fields = dict(kind.describe_unit(job, key), error=error.message)
+        job.emit(event, **fields, worker=worker_id, done=job.cells_done,
+                 total=len(job.cells))
+        self._journal_shard(job, job.in_flight.get(shard_id))
 
-    def _save_finding(self, record) -> None:
-        """Append one streamed counterexample to the server-side corpus."""
+    def _unaccounted(self, job: Job, shard: Shard) -> list:
+        """The shard's units with neither a result nor an error yet."""
+        key = job.kind.key
+        return [unit for unit in shard.units
+                if key(unit) not in job.fresh and key(unit) not in job.errors]
+
+    def _journal_shard(self, job: Job, shard: Optional[Shard]) -> None:
+        """Lock held: journal ``shard_done`` once every unit of the shard is
+        accounted for — in the same lock hold as its last unit, so whoever
+        sees that unit in ``job.fresh`` finds the record written too."""
+        if self._journal is None or shard is None or self._unaccounted(job, shard):
+            return
+        payload = job.kind.journal_payload(job, shard)
+        if payload is not None:
+            self._journal_append("shard_done", job=job.id, shard=shard.shard_id,
+                                 **payload)
+
+    def _finding(self, job: Job, worker_id: int, shard_id: int, record) -> None:
+        """Stream one counterexample and append it to the server-side corpus."""
+        self.counters["findings"] += 1
+        verdict = record.get("verdict", {}) if isinstance(record, dict) else {}
+        job.emit(
+            "finding",
+            kind=record.get("kind"),
+            token=record.get("token"),
+            kernel=verdict.get("kernel"),
+            detail=verdict.get("detail"),
+            worker=worker_id,
+            shard=shard_id,
+        )
         if self.corpus_dir is None or not isinstance(record, dict):
             return
         try:
@@ -871,7 +700,7 @@ class SimulationFarm:
         now = time.perf_counter()
         for handle in self._workers:
             shard = handle.busy
-            if shard is None or not handle.process.is_alive():
+            if shard is None or handle.stuck_kill or not handle.process.is_alive():
                 continue
             marks = [t for t in (shard.dispatched_at, handle.last_message_at)
                      if t is not None]
@@ -895,9 +724,10 @@ class SimulationFarm:
             self.counters["workers_respawned"] += 1
             handle.task_queue.close()
             handle.task_queue.cancel_join_thread()
+            handle.results.close()
             replacement = spawn_worker(
-                self._ctx, handle.worker_id, self._result_queue,
-                self.cache.program_cache_dir, self.preload,
+                self._ctx, handle.worker_id, self.cache.program_cache_dir,
+                self.preload,
             )
             replacement.respawns = handle.respawns + 1
             replacement.busy_s = handle.busy_s
@@ -911,17 +741,19 @@ class SimulationFarm:
             job.in_flight.pop(shard.shard_id, None)
             if job.is_terminal:
                 continue
-            if shard.attempts <= 1:
+            # Units the dead worker already reported are kept; only the
+            # rest is retried (or failed).
+            shard.units = self._unaccounted(job, shard)
+            if shard.units and shard.attempts <= 1:
                 # One retry on the fresh worker — same policy as the batch
-                # ShardedExecutor.  Partial results the dead worker already
-                # reported are kept; re-running those cells overwrites them
-                # with identical values (cells are deterministic).
+                # ShardedExecutor.
                 self.counters["shards_retried"] += 1
                 job.pending_shards.appendleft(shard)
                 self._queue.push(job)
                 job.emit("shard_retry", shard=shard.shard_id,
                          worker=handle.worker_id, stuck=stuck)
-            else:
+                continue
+            if shard.units:
                 cause = "worker_stuck" if stuck else "worker_crash"
                 detail = ("went heartbeat-silent running" if stuck
                           else "died running")
@@ -933,20 +765,13 @@ class SimulationFarm:
                         f"{'went silent' if stuck else 'died'} too"
                     ),
                 )
-                failed = 0
-                for cell in shard.cells:
-                    key = getattr(cell, "key", cell)
-                    if key not in job.fresh and key not in job.errors:
-                        job.errors[key] = error
-                        failed += 1
-                if job.kind == FUZZ:
-                    self.counters["sessions_failed"] += failed
-                else:
-                    self.counters["cells_failed"] += failed
+                for unit in shard.units:
+                    job.errors[job.kind.key(unit)] = error
+                self.counters[job.kind.failed_counter] += len(shard.units)
                 job.emit("shard_failed", shard=shard.shard_id,
-                         worker=handle.worker_id, cells_failed=failed,
+                         worker=handle.worker_id, cells_failed=len(shard.units),
                          cause=cause)
-                self._maybe_finalize(job)
+            self._maybe_finalize(job)
 
     def _dispatch_ready(self) -> None:
         while True:
@@ -975,17 +800,8 @@ class SimulationFarm:
                                  shard=shard.shard_id,
                                  worker=handle.worker_id,
                                  attempt=shard.attempts)
-            if job.kind == FUZZ:
-                spec = job.spec
-                handle.task_queue.put(("fuzz", job.id, shard.shard_id, {
-                    "seed": shard.cells[0],
-                    "budget": spec.budget,
-                    "profile": spec.profile,
-                    "with_faults": spec.with_faults,
-                    "timeout_s": spec.case_timeout_s,
-                }))
-            else:
-                handle.task_queue.put(("shard", job.id, shard.shard_id, shard.cells))
+            handle.task_queue.put((job.kind.name, job.id, shard.shard_id,
+                                   job.kind.task(job, shard.units)))
 
     # -- observation -------------------------------------------------------------
 
@@ -996,11 +812,11 @@ class SimulationFarm:
             busy = sum(1 for w in self._workers if w.busy is not None)
             states = {state: 0 for state in
                       (QUEUED, RUNNING, DONE, FAILED, CANCELLED, TIMEOUT)}
-            kinds = {CAMPAIGN: 0, FUZZ: 0}
+            kinds = {name: 0 for name in KINDS}
             active = 0
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
-                kinds[job.kind] = kinds.get(job.kind, 0) + 1
+                kinds[job.kind.name] += 1
                 if not job.is_terminal:
                     active += 1
             uptime = (time.perf_counter() - self._started_at

@@ -1,10 +1,12 @@
 """Jobs and the priority job queue.
 
-A :class:`Job` is one submitted :class:`~repro.campaign.spec.CampaignSpec`
-on its way through the farm: cache lookup at submit, then (for the cells the
-cache missed) a sequence of :class:`Shard` dispatches to warm workers, then
-aggregation into a :class:`~repro.campaign.result.CampaignResult` that is
-bit-identical to what ``splice campaign run`` produces for the same spec.
+A :class:`Job` is one submitted spec on its way through the farm: its
+:class:`~repro.service.kinds.JobKind` (inferred from the spec type) expands
+it into units and answers what it can at admit time, the rest goes out as a
+sequence of :class:`Shard` dispatches to warm workers, and the kind
+aggregates the result — for campaigns a
+:class:`~repro.campaign.result.CampaignResult` bit-identical to what
+``splice campaign run`` produces for the same spec.
 
 Jobs are passive data plus an event log; all mutation happens under the
 farm's single condition lock (submission threads, HTTP handler threads and
@@ -19,19 +21,17 @@ sooner) and FIFO within a priority (by submission sequence number).  It is
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
-import json
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.campaign.executor import CellError, CellOutcome
-from repro.campaign.result import CampaignResult, cell_result
-from repro.campaign.spec import CampaignCell, CampaignSpec
+from repro.campaign.executor import CellOutcome
+from repro.campaign.result import CampaignResult
+from repro.service.kinds import CAMPAIGN, FUZZ, JobKind, kind_of
 
 #: Job lifecycle states.  ``queued → running → done`` is the happy path;
 #: ``failed`` means every cell is accounted for but some carry error records
@@ -47,111 +47,41 @@ TIMEOUT = "timeout"
 
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED, TIMEOUT})
 
-#: Job kinds the farm schedules.  Both flow through the same queue, shard
-#: machinery, event log and crash policy; they differ in what a shard *is*
-#: (a batch of campaign cells vs one deterministic fuzz session) and in how
-#: results aggregate.
-CAMPAIGN = "campaign"
-FUZZ = "fuzz"
-
-
-@dataclass(frozen=True)
-class FuzzJobSpec:
-    """A continuous-fuzzing workload: a contiguous seed range, one
-    deterministic ``(seed, budget)`` session per seed.
-
-    Each session is exactly what ``splice fuzz run --seed S --budget B``
-    executes (see :func:`repro.fuzz.session.run_session`), so a fuzz job's
-    aggregate — executed counts, coverage cells, shrunk counterexamples —
-    is a pure function of this spec and reproduces bit-identically across
-    runs, restarts and worker placements.
-    """
-
-    seed_start: int
-    sessions: int
-    budget: int
-    profile: str = "quick"
-    with_faults: bool = False
-    case_timeout_s: float = 10.0
-    name: str = "fuzz"
-
-    def __post_init__(self) -> None:
-        if self.sessions < 1:
-            raise ValueError(f"fuzz job needs >= 1 session, got {self.sessions}")
-        if self.budget < 1:
-            raise ValueError(f"fuzz budget must be >= 1, got {self.budget}")
-        if self.case_timeout_s <= 0:
-            raise ValueError(
-                f"case_timeout_s must be positive, got {self.case_timeout_s}"
-            )
-
-    def seeds(self) -> List[int]:
-        return list(range(self.seed_start, self.seed_start + self.sessions))
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "seed_start": self.seed_start,
-            "sessions": self.sessions,
-            "budget": self.budget,
-            "profile": self.profile,
-            "with_faults": self.with_faults,
-            "case_timeout_s": self.case_timeout_s,
-        }
-
-    def fingerprint(self) -> str:
-        text = json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FuzzJobSpec":
-        return cls(
-            seed_start=int(data["seed_start"]),
-            sessions=int(data["sessions"]),
-            budget=int(data["budget"]),
-            profile=str(data.get("profile", "quick")),
-            with_faults=bool(data.get("with_faults", False)),
-            case_timeout_s=float(data.get("case_timeout_s", 10.0)),
-            name=str(data.get("name", "fuzz")),
-        )
-
 
 @dataclass
 class Shard:
-    """A contiguous batch of one job's cells, dispatched to one worker.
+    """A contiguous batch of one job's units, dispatched to one worker.
 
     The shard is the farm's unit of scheduling *and* of cancellation: a
     worker runs a shard to completion, so cancelling a running job takes
     effect at the next shard boundary.  ``attempts`` counts dispatches — a
-    shard whose worker died is retried exactly once on a fresh worker.
+    shard whose worker died is retried exactly once on a fresh worker, with
+    only the units the dead worker had not reported.
     """
 
     job_id: str
     shard_id: int
-    cells: List[CampaignCell]
+    units: list
     attempts: int = 0
     worker_id: Optional[int] = None
     dispatched_at: Optional[float] = None
 
 
 class Job:
-    """One submitted campaign spec and everything that happens to it."""
+    """One submitted spec and everything that happens to it."""
 
     def __init__(
         self,
         job_id: str,
-        spec: Union[CampaignSpec, FuzzJobSpec],
+        spec,
         *,
-        kind: str = CAMPAIGN,
         priority: int = 0,
         timeout_s: Optional[float] = None,
         cond: Optional[threading.Condition] = None,
     ) -> None:
-        if kind not in (CAMPAIGN, FUZZ):
-            raise ValueError(f"unknown job kind {kind!r}")
         self.id = job_id
         self.spec = spec
-        self.kind = kind
+        self.kind: JobKind = kind_of(spec)
         self.priority = priority
         self.timeout_s = timeout_s
         self.cond = cond or threading.Condition()
@@ -166,17 +96,12 @@ class Job:
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
 
-        #: The job's work units in canonical (deterministic) order; result
+        #: The job's units in canonical (deterministic) order; result
         #: aggregation walks this list so the served payload row order is
-        #: identical to the batch runner's.  Campaign jobs: the grid's
-        #: :class:`CampaignCell` expansion, keyed by ``cell.key``.  Fuzz
-        #: jobs: the seed range, keyed by the seed itself.
-        if kind == FUZZ:
-            self.cells: List = spec.seeds()
-            self.by_key: Dict[tuple, CampaignCell] = {}
-        else:
-            self.cells = spec.cells()
-            self.by_key = {c.key: c for c in self.cells}
+        #: identical to the batch runner's.  Campaign jobs: the grid's cells,
+        #: keyed by ``cell.key``.  Fuzz jobs: the seeds, keyed by themselves.
+        self.cells: list = self.kind.expand(spec)
+        self.by_key: Dict = {self.kind.key(unit): unit for unit in self.cells}
         self.cached: Dict[tuple, CellOutcome] = {}
         self.fresh: Dict = {}
         self.errors: Dict = {}
@@ -236,7 +161,7 @@ class Job:
         return {
             "id": self.id,
             "name": self.spec.name,
-            "kind": self.kind,
+            "kind": self.kind.name,
             "recovered": self.recovered,
             "state": self.state,
             "priority": self.priority,
@@ -289,109 +214,30 @@ class Job:
     # -- aggregation -------------------------------------------------------------
 
     def result_payload(self) -> dict:
-        """The job's result as a JSON payload, whatever its kind.
-
-        Campaign jobs serve the :class:`CampaignResult` dict (bit-identical
-        ``cells`` to the batch runner); fuzz jobs serve the deterministic
-        fuzz aggregate of :meth:`fuzz_result`.
-        """
-        if self.kind == FUZZ:
-            return self.fuzz_result()
-        return self.result().to_dict()
-
-    def fuzz_result(self) -> dict:
-        """Aggregate a fuzz job's completed sessions.
-
-        Everything outside ``meta`` is a pure function of the spec: session
-        rows in seed order, the union of per-session coverage cells, and
-        counterexamples deduplicated by ``(kind, token)`` — so two runs of
-        the same spec (or one run interrupted by a server kill and resumed)
-        compare bit-identical on ``sessions``/``coverage``/``counterexamples``.
-        """
-        if self.state not in (DONE, FAILED):
-            raise ValueError(
-                f"job {self.id} is {self.state}; results exist only for "
-                "done/failed jobs"
-            )
-        sessions = []
-        coverage: set = set()
-        findings: Dict[Tuple[str, str], dict] = {}
-        errors: Dict[str, str] = {}
-        executed = 0
-        for seed in self.cells:
-            if seed in self.errors:
-                errors[str(seed)] = self.errors[seed].describe()
-                continue
-            payload = self.fresh[seed]
-            sessions.append(payload)
-            executed += int(payload.get("executed", 0))
-            coverage.update(payload.get("coverage", ()))
-            for ce in payload.get("counterexamples", ()):
-                findings[(str(ce.get("kind")), str(ce.get("token")))] = ce
-        return {
-            "kind": FUZZ,
-            "fuzz": self.spec.describe(),
-            "sessions": sessions,
-            "executed": executed,
-            "coverage": sorted(coverage),
-            "counterexamples": [findings[key] for key in sorted(findings)],
-            "errors": errors,
-            "meta": {
-                "executor": "farm",
-                "job_id": self.id,
-                "priority": self.priority,
-                "recovered": self.recovered,
-                "elapsed_s": round(self.elapsed_s, 6),
-                "sessions_total": len(self.cells),
-                "sessions_failed": len(errors),
-                "spec_fingerprint": self.spec.fingerprint(),
-            },
-        }
+        """The job's result as a JSON payload, whatever its kind."""
+        return self.kind.aggregate(self._complete(self.kind))
 
     def result(self) -> CampaignResult:
-        """Aggregate into a :class:`CampaignResult`, batch-identical.
+        """A campaign job's :class:`CampaignResult`, batch-identical."""
+        return CAMPAIGN.result(self._complete(CAMPAIGN))
 
-        Only available once every cell is accounted for (``done`` or
-        ``failed``); cancelled and timed-out jobs have holes in the grid and
-        raise instead of fabricating a partial table.
-        """
-        if self.kind != CAMPAIGN:
-            raise ValueError(
-                f"job {self.id} is a {self.kind} job; use fuzz_result()/"
-                "result_payload()"
-            )
+    def fuzz_result(self) -> dict:
+        """A fuzz job's deterministic aggregate (see
+        :class:`~repro.service.kinds.FuzzKind`)."""
+        return FUZZ.aggregate(self._complete(FUZZ))
+
+    def _complete(self, kind: JobKind) -> "Job":
+        """This job, if it is of ``kind`` and done or failed (cancelled and
+        timed-out jobs have holes: they raise, not fabricate a result)."""
+        if self.kind is not kind:
+            raise ValueError(f"job {self.id} is a {self.kind.name} job; "
+                             "use result_payload()")
         if self.state not in (DONE, FAILED):
             raise ValueError(
                 f"job {self.id} is {self.state}; results exist only for "
                 "done/failed jobs"
             )
-        results = []
-        for cell in self.cells:
-            if cell.key in self.errors:
-                outcome = self.errors[cell.key]
-            elif cell.key in self.cached:
-                outcome = self.cached[cell.key]
-            else:
-                outcome = self.fresh[cell.key]
-            results.append(cell_result(cell, outcome, cached=cell.key in self.cached))
-        elapsed = (self.finished or time.perf_counter()) - self.submitted
-        total_cycles = sum(r.cycles for r in results if not r.cached and r.error is None)
-        return CampaignResult(
-            spec=self.spec,
-            cells=results,
-            meta={
-                "executor": "farm",
-                "job_id": self.id,
-                "priority": self.priority,
-                "elapsed_s": round(elapsed, 6),
-                "cells_total": len(self.cells),
-                "cells_cached": len(self.cached),
-                "cells_executed": len(self.fresh),
-                "cells_failed": len(self.errors),
-                "simulated_cycles": total_cycles,
-                "spec_fingerprint": self.spec.fingerprint(),
-            },
-        )
+        return self
 
 
 class JobQueue:

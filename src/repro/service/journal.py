@@ -15,23 +15,27 @@ Record types (each a JSON object with a ``"type"`` key):
     might still be polling — even after terminal jobs' records are dropped.
 ``submitted``
     One per accepted job: id, kind (``campaign`` / ``fuzz``), the full spec
-    payload (enough to re-expand the identical cell grid or seed range),
-    priority, timeout and the client idempotency key if one was sent.
+    payload under the kind's ``spec_key`` (enough to re-expand the identical
+    cell grid or seed range), priority, timeout and the client idempotency
+    key if one was sent.
 ``shard_dispatched``
     Observability: which shard went to which worker on which attempt.
 ``shard_done``
-    Campaign shards record the content digests of their cells — the
-    outcomes themselves live in the shared :class:`ResultCache`, so
-    recovery answers these cells from the cache and never re-executes
-    them.  Fuzz shards record the complete deterministic session payload
-    (the journal is the only durable copy of a fuzz result).
+    Written once a shard's units are all accounted for, with the kind's
+    ``journal_payload``.  Campaign shards record the content digests of
+    their cells — the outcomes themselves live in the shared
+    :class:`ResultCache`, so recovery answers these cells from the cache
+    and never re-executes them.  Fuzz shards record the complete
+    deterministic session payload (the journal is the only durable copy of
+    a fuzz result), which the kind's ``restore`` reads back.
 ``cancelled`` / ``finished``
     Terminal transitions.  A job with one of these is not recovered.
 
 Recovery tolerates a torn final line (the crash may land mid-``write``):
 unparseable lines are counted and skipped, never fatal.  On restart the
 farm compacts the journal — rewrites it atomically with only the records
-still needed (header, live jobs' submissions, completed fuzz sessions) —
+still needed (header, live jobs' submissions, the ``shard_done`` records
+their kinds restore from) —
 so the file does not grow across crash/restart cycles.
 """
 
@@ -44,6 +48,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from repro.service.kinds import KINDS
 
 JOURNAL_VERSION = 1
 
@@ -173,6 +179,7 @@ class JournaledJob:
     """One job reconstructed from the journal."""
 
     job_id: str
+    #: Kind name, a key of :data:`~repro.service.kinds.KINDS`.
     kind: str
     priority: int
     timeout_s: Optional[float]
@@ -182,14 +189,21 @@ class JournaledJob:
     submitted_record: dict
     #: Raw ``shard_done`` records, in completion order.
     shards_done: List[dict] = field(default_factory=list)
-    #: Fuzz only: completed deterministic session payloads, keyed by seed.
-    sessions: Dict[int, dict] = field(default_factory=dict)
     #: Terminal state (``done``/``failed``/``timeout``/``cancelled``) or None.
     terminal: Optional[str] = None
 
     @property
     def live(self) -> bool:
         return self.terminal is None
+
+    @property
+    def restored(self) -> Dict:
+        """Unit results only the journal holds, by unit key (a fuzz job's
+        completed session payloads, by seed; nothing for a campaign)."""
+        return KINDS[self.kind].restore(self.shards_done)
+
+    #: A fuzz job's completed session payloads, by seed.
+    sessions = restored
 
 
 @dataclass
@@ -215,12 +229,12 @@ class JournalReplay:
         ]
         for job in self.live_jobs():
             records.append(job.submitted_record)
-            # Completed fuzz sessions are only durable here; campaign
-            # shard_done digests are redundant with the ResultCache and
-            # dropped (their shard ids are reassigned on re-admission).
-            for record in job.shards_done:
-                if "session" in record:
-                    records.append(record)
+            # Only shard_done records a job restores from are durable state
+            # (fuzz sessions); campaign digests are redundant with the
+            # ResultCache and dropped (shard ids are reassigned on
+            # re-admission).
+            if job.restored:
+                records.extend(job.shards_done)
         return records
 
 
@@ -262,15 +276,15 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
                 continue
             if kind == "submitted":
                 seq = max(seq, _job_seq_of(job_id))
-                job_kind = str(record.get("kind", "campaign"))
-                payload = record.get("fuzz" if job_kind == "fuzz" else "spec")
+                job_kind = KINDS.get(str(record.get("kind", "campaign")))
+                payload = None if job_kind is None else record.get(job_kind.spec_key)
                 if not isinstance(payload, dict):
                     skipped += 1
                     continue
                 timeout_raw = record.get("timeout_s")
                 jobs[job_id] = JournaledJob(
                     job_id=job_id,
-                    kind=job_kind,
+                    kind=job_kind.name,
                     priority=int(record.get("priority", 0)),
                     timeout_s=None if timeout_raw is None else float(timeout_raw),
                     payload=payload,
@@ -284,9 +298,6 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
                 continue
             if kind == "shard_done":
                 job.shards_done.append(record)
-                session = record.get("session")
-                if isinstance(session, dict) and "seed" in record:
-                    job.sessions[int(record["seed"])] = session
             elif kind == "cancelled":
                 job.terminal = "cancelled"
             elif kind == "finished":

@@ -2,41 +2,38 @@
 
 This is what separates the farm from ``splice campaign run``'s throwaway
 ``ProcessPoolExecutor``: a worker process lives for the whole service
-lifetime, keeps every runner it has ever built in an in-process dictionary
-keyed by ``(label, kernel)``, and points the compiled kernel at the shared
-:class:`~repro.rtl.compile.CompiledProgramCache` directory — so after the
-first job touches an implementation, every later job pays neither spec
-parsing, nor elaboration, nor codegen for it.
+lifetime, keeps every runner it has ever built in one caller-held
+dictionary keyed by ``(label, kernel)`` (the ``runners`` argument of
+:func:`~repro.campaign.executor.execute_cells`), and points the compiled
+kernel at the shared :class:`~repro.rtl.compile.CompiledProgramCache`
+directory — so after the first job touches an implementation, every later
+job pays neither spec parsing, nor elaboration, nor codegen for it.
 
 Protocol (all messages are small picklable tuples):
 
-* parent → worker (per-worker task queue):
-  ``("shard", job_id, shard_id, [CampaignCell, ...])`` for campaign shards,
-  ``("fuzz", job_id, shard_id, params)`` for one deterministic fuzz session
-  (params: seed/budget/profile/with_faults/timeout_s), or ``None`` to stop.
-* worker → parent (shared result queue; index 1 is always the worker id, so
-  the dispatcher can track per-worker liveness generically):
-  ``("ready", worker_id, stats)`` once warm-up/preload is done,
-  ``("heartbeat", worker_id)`` at shard start and (throttled) per fuzz case
-  — the stuck-worker watchdog's liveness signal,
-  ``("cell", worker_id, job_id, shard_id, cell_key, (result, cycles, txns))``
-  per finished cell (this is what per-cell progress streaming is fed from),
-  ``("cell_error", worker_id, job_id, shard_id, cell_key, message)`` when a
-  single cell raises (the worker survives; job-level fault isolation),
-  ``("shard_done", worker_id, job_id, shard_id, stats)`` at the boundary,
+* parent → worker (per-worker task queue): ``(kind_name, job_id, shard_id,
+  task)``, which the worker hands to that :class:`~repro.service.kinds.JobKind`
+  to run (``task`` is what the kind's ``task()`` built: campaign cells, or a
+  fuzz spec and seed), or ``None`` to stop.
+* worker → parent, on the worker's own result pipe (only the worker holds
+  its write end, so its death reads as end-of-file and a worker killed
+  mid-send cannot wedge the others); index 1 is always the worker id:
+  ``("ready", worker_id, stats)`` once warm-up/preload is done;
+  ``("heartbeat", worker_id, ...)`` at shard start and (throttled) per fuzz
+  case, the stuck-worker watchdog's liveness signal;
+  ``("unit", worker_id, job_id, shard_id, key, value, fields)`` per
+  finished unit (a cell's ``(result, cycles, transactions)``, a session's
+  deterministic payload; ``fields`` are extra event fields, such as a
+  session's ``duration_s``);
+  ``("unit_error", worker_id, job_id, shard_id, key, CellError)`` per unit
+  that could not finish (the worker serves on);
   ``("finding", worker_id, job_id, shard_id, counterexample_dict)`` per
-  shrunk fuzz counterexample, as it is found (streamed to clients and
-  appended to the server-side corpus),
-  ``("fuzz_done", worker_id, job_id, shard_id, payload, duration_s, stats)``
-  when a fuzz session completes (payload is the deterministic session
-  record: executed/rounds/coverage/counterexamples),
-  ``("fuzz_error", worker_id, job_id, shard_id, seed, message)`` when the
-  session machinery itself raises (e.g. Hypothesis missing in a minimal
-  environment) — the job records a structured error, the worker survives.
+  shrunk fuzz counterexample, as it is found;
+  ``("shard_done", worker_id, job_id, shard_id, stats)`` at the boundary.
 
 A worker that dies (OOM, segfault, ``os._exit``) simply stops sending; the
 dispatcher notices the dead process, respawns a fresh worker, and retries
-the in-flight shard once before recording structured per-cell errors —
+the shard's unreported units once before recording structured errors —
 mirroring :class:`~repro.campaign.executor.ShardedExecutor`'s crash policy.
 A worker that *hangs* stops heartbeating instead: the dispatcher's watchdog
 SIGKILLs it and the same respawn/retry path runs, ending in ``worker_stuck``
@@ -48,16 +45,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.rtl.compile import PROGRAM_CACHE_ENV
-
-#: Minimum seconds between fuzz-case heartbeats (campaign shards heartbeat
-#: implicitly through per-cell messages; fuzz sessions run many cases per
-#: second, so their liveness signal is throttled to one message per second).
-FUZZ_HEARTBEAT_EVERY_S = 1.0
 
 #: Seconds an idle worker waits for a task before checking that its server
 #: is still alive.
@@ -78,12 +69,13 @@ def _parse_preload(entry) -> Tuple[str, str]:
 def worker_main(
     worker_id: int,
     task_queue,
-    result_queue,
+    results,
     program_cache_dir: Optional[str],
     preload: Sequence,
 ) -> None:
     """Worker process entry point (module-level, so it pickles under spawn)."""
     from repro.devices.registry import build_runner
+    from repro.service.kinds import KINDS
 
     server_pid = os.getppid()
 
@@ -93,165 +85,57 @@ def worker_main(
         # topology a disk read instead of a recompile.
         os.environ[PROGRAM_CACHE_ENV] = str(program_cache_dir)
 
-    runners: Dict[Tuple[str, str], object] = {}
-    applied_faults: Dict[Tuple[str, str], Optional[str]] = {}
-    stats = {
-        "worker": worker_id,
-        "pid": os.getpid(),
-        "builds": 0,
-        "preloaded": 0,
-        "cells": 0,
-        "shards": 0,
-        "cell_errors": 0,
-        "sessions": 0,
-        "fuzz_errors": 0,
-    }
-
-    def get_runner(label: str, kernel: str):
-        key = (label, kernel)
-        runner = runners.get(key)
-        if runner is None:
-            runner = runners[key] = build_runner(label, kernel=kernel)
-            applied_faults[key] = None
-            stats["builds"] += 1
-        return runner
+    runners: Dict[Tuple[str, str], tuple] = {}
+    stats = {"worker": worker_id, "pid": os.getpid()}
+    stats.update(dict.fromkeys(("builds", "preloaded", "shards"), 0))
+    stats.update(dict.fromkeys(
+        (key for kind in KINDS.values() for key in kind.worker_stats), 0))
 
     for entry in preload:
         label, kernel = _parse_preload(entry)
         try:
-            get_runner(label, kernel)
-            stats["preloaded"] += 1
+            runners[(label, kernel)] = (build_runner(label, kernel=kernel), None)
         except Exception:
             # A bad preload label must not take the worker down before it
             # served a single job; the label will fail per-cell if actually
             # used, with a proper error record.
-            pass
-
-    result_queue.put(("ready", worker_id, dict(stats, resident=len(runners))))
-
-    while True:
-        try:
-            message = task_queue.get(timeout=ORPHAN_CHECK_S)
-        except queue.Empty:
-            # Nothing wakes a blocked get() when the server dies without
-            # sending the shutdown sentinel (SIGKILL): the worker holds the
-            # queue's write end itself.  An idle worker whose parent changed
-            # was orphaned, and exits.
-            if os.getppid() != server_pid:
-                break
             continue
-        if message is None:
-            break
-        if message[0] == "fuzz":
-            _, job_id, shard_id, params = message
-            result_queue.put(("heartbeat", worker_id))
-            _run_fuzz_session(worker_id, job_id, shard_id, params,
-                              result_queue, stats, resident=len(runners))
-            continue
-        _, job_id, shard_id, cells = message
-        # Shard-start heartbeat: per-cell messages cover liveness from the
-        # first completion onward; this covers the first cell's runtime.
-        result_queue.put(("heartbeat", worker_id))
-        for cell in cells:
-            faults = getattr(cell, "faults", None)
-            runner_key = (cell.label, cell.kernel)
-            try:
-                runner = get_runner(cell.label, cell.kernel)
-                apply_faults = getattr(runner, "apply_faults", None)
-                if faults is not None and apply_faults is None:
-                    raise TypeError(
-                        f"faults_unsupported: runner {cell.label!r} cannot "
-                        f"inject fault schedule {faults!r}"
-                    )
-                if apply_faults is not None and applied_faults[runner_key] != faults:
-                    apply_faults(faults)
-                    applied_faults[runner_key] = faults
-                outcome_raw = runner.run_scenario(cell.generate_inputs())
-                outcome = (
-                    int(outcome_raw["result"]) & 0xFFFFFFFF,
-                    int(outcome_raw["cycles"]),
-                    int(outcome_raw.get("transactions", 0)),
-                )
-            except Exception as exc:  # noqa: BLE001 — isolate the cell, keep serving
-                if faults is not None:
-                    # The faulted system may be wedged mid-handshake; evict
-                    # the resident runner so the next cell rebuilds fresh.
-                    runners.pop(runner_key, None)
-                    applied_faults.pop(runner_key, None)
-                stats["cell_errors"] += 1
-                result_queue.put((
-                    "cell_error", worker_id, job_id, shard_id, cell.key,
-                    f"{type(exc).__name__}: {exc}",
-                ))
-                continue
-            stats["cells"] += 1
-            result_queue.put(("cell", worker_id, job_id, shard_id, cell.key, outcome))
-        stats["shards"] += 1
-        result_queue.put(("shard_done", worker_id, job_id, shard_id,
-                          dict(stats, resident=len(runners))))
+        stats["builds"] += 1
+        stats["preloaded"] += 1
 
+    results.send(("ready", worker_id, dict(stats, resident=len(runners))))
 
-def _run_fuzz_session(
-    worker_id: int,
-    job_id: str,
-    shard_id: int,
-    params: Dict[str, object],
-    result_queue,
-    stats: Dict[str, object],
-    *,
-    resident: int,
-) -> None:
-    """Execute one deterministic fuzz session and report it.
-
-    Imports the fuzz stack lazily: a farm that only ever serves campaign
-    jobs never touches Hypothesis, and a worker in an environment without
-    it degrades to a structured ``fuzz_error`` instead of dying.
-    """
-    seed = int(params["seed"])
     try:
-        from repro.fuzz.session import run_session
+        while True:
+            try:
+                message = task_queue.get(timeout=ORPHAN_CHECK_S)
+            except queue.Empty:
+                # Nothing wakes a blocked get() when the server dies without
+                # sending the shutdown sentinel (SIGKILL): the worker holds the
+                # queue's write end itself.  An idle worker whose parent changed
+                # was orphaned, and exits.
+                if os.getppid() != server_pid:
+                    break
+                continue
+            if message is None:
+                break
+            kind_name, job_id, shard_id, task = message
+            kind = KINDS[kind_name]
+            counted = dict(zip(("unit", "unit_error"), kind.worker_stats))
 
-        last_beat = [time.perf_counter()]
+            def send(tag: str, *payload) -> None:
+                if tag in counted:
+                    stats[counted[tag]] += 1
+                results.send((tag, worker_id, job_id, shard_id, *payload))
 
-        def on_case(case, verdict) -> None:
-            now = time.perf_counter()
-            if now - last_beat[0] >= FUZZ_HEARTBEAT_EVERY_S:
-                last_beat[0] = now
-                result_queue.put(("heartbeat", worker_id))
-
-        def on_finding(counterexample) -> None:
-            result_queue.put(("finding", worker_id, job_id, shard_id,
-                              counterexample.describe()))
-
-        report = run_session(
-            int(params["budget"]),
-            seed,
-            profile=str(params.get("profile", "quick")),
-            with_faults=bool(params.get("with_faults", False)),
-            timeout_s=float(params.get("timeout_s", 10.0)),
-            corpus_dir=None,  # the farm owns the server-side corpus
-            on_case=on_case,
-            on_finding=on_finding,
-        )
-    except Exception as exc:  # noqa: BLE001 — isolate the session, keep serving
-        stats["fuzz_errors"] += 1
-        result_queue.put(("fuzz_error", worker_id, job_id, shard_id, seed,
-                          f"{type(exc).__name__}: {exc}"))
-        return
-    stats["sessions"] += 1
-    payload = {
-        "seed": seed,
-        "budget": report.budget,
-        "profile": report.profile,
-        "with_faults": report.with_faults,
-        "executed": report.executed,
-        "rounds": report.rounds,
-        "coverage": list(report.coverage),
-        "counterexamples": [ce.describe() for ce in report.counterexamples],
-        "exit_code": report.exit_code,
-    }
-    result_queue.put(("fuzz_done", worker_id, job_id, shard_id, payload,
-                      round(report.duration_s, 3), dict(stats, resident=resident)))
+            # Shard-start heartbeat: per-unit messages cover liveness from the
+            # first completion onward; this covers the first unit's runtime.
+            send("heartbeat")
+            kind.execute(task, send, runners, stats)
+            stats["shards"] += 1
+            send("shard_done", dict(stats, resident=len(runners)))
+    except BrokenPipeError:
+        pass  # the server is gone: nobody reads what this worker reports
 
 
 @dataclass
@@ -261,6 +145,8 @@ class WorkerHandle:
     worker_id: int
     process: multiprocessing.Process
     task_queue: object
+    #: Read end of the worker's result pipe.
+    results: object
     #: Shard currently dispatched to this worker, or None when idle.
     busy: Optional[object] = None
     ready: bool = False
@@ -292,29 +178,28 @@ class WorkerHandle:
             "busy_s": round(self.busy_s, 6),
             "respawns": self.respawns,
         }
-        for key in ("pid", "builds", "preloaded", "cells", "shards",
-                    "cell_errors", "sessions", "fuzz_errors", "resident"):
-            if key in self.stats:
-                record[key] = self.stats[key]
+        record.update(self.stats)  # pid, builds, per-kind unit counts, ...
         return record
 
 
 def spawn_worker(
     context,
     worker_id: int,
-    result_queue,
     program_cache_dir: Optional[str],
     preload: Sequence,
 ) -> WorkerHandle:
-    """Start one worker process with its own task queue."""
+    """Start one worker process with its own task queue and result pipe."""
     task_queue = context.Queue()
+    results, writer = context.Pipe(duplex=False)
     process = context.Process(
         target=worker_main,
-        args=(worker_id, task_queue, result_queue,
+        args=(worker_id, task_queue, writer,
               str(program_cache_dir) if program_cache_dir else None,
               tuple(preload)),
         daemon=True,
         name=f"splice-farm-worker-{worker_id}",
     )
     process.start()
-    return WorkerHandle(worker_id=worker_id, process=process, task_queue=task_queue)
+    writer.close()  # the worker now holds the only write end
+    return WorkerHandle(worker_id=worker_id, process=process,
+                        task_queue=task_queue, results=results)

@@ -57,6 +57,15 @@ class _SlowRunner:
         return {"result": 1, "cycles": 1, "transactions": 0}
 
 
+class _RaisingRunner:
+    """A clean (unfaulted) runner whose simulation raises on one scenario."""
+
+    def run_scenario(self, sets):
+        if len(sets[0]) == 2:
+            raise RuntimeError("simulated cell failure")
+        return {"result": 1, "cycles": 1, "transactions": 0}
+
+
 class _ExitingRunner:
     """Kills the whole worker process mid-shard (not an exception)."""
 
@@ -160,13 +169,31 @@ class TestResolveWorkers:
 # ---------------------------------------------------------------------------
 
 
+def _faulted_grid():
+    """Scenario 1 clean and under a stuck-at fault, on the compiled kernel:
+    the baseline cannot inject (``faults_unsupported``), the FCB wedges
+    into a driver timeout (``cell_exception``) and the PLB runs through —
+    batch and farm must report every row identically."""
+    return CampaignSpec(
+        implementations=("simple_plb", "splice_plb", "splice_fcb"),
+        scenarios=SCENARIOS[:1],
+        kernel="compiled",
+        faults=(None, "stuck_at_1:IO_ENABLE:40:3:*"),
+        name="faulted",
+    )
+
+
 class TestFarm:
-    def test_farm_result_is_bit_identical_to_batch_on_the_paper_grid(self):
-        grid = paper_grid()
+    @pytest.mark.parametrize("grid, state", [
+        (paper_grid, DONE),
+        (_faulted_grid, FAILED),
+    ], ids=["paper", "faulted"])
+    def test_farm_result_is_bit_identical_to_batch_on_the_paper_grid(self, grid, state):
+        grid = grid()
         batch = run_campaign(grid)
         with SimulationFarm(workers=2) as farm:
             job = farm.submit(grid)
-            assert job.wait(timeout=120) == DONE
+            assert job.wait(timeout=120) == state
             assert job.result().payload() == batch.payload()
 
     def test_repeat_submission_short_circuits_without_touching_workers(self):
@@ -255,6 +282,30 @@ class TestFarm:
             _unregister("zz_slow")
 
     @fork_only
+    def test_clean_cell_that_raises_fails_the_job_not_the_worker(self):
+        """A clean cell whose simulation raises is isolated in the worker
+        (batch would propagate the raise): the job ends ``failed`` with a
+        ``cell_exception`` row, its other cells are done, and no worker
+        died."""
+        _register("zz_raise", _RaisingRunner)
+        try:
+            spec = CampaignSpec(
+                implementations=("zz_raise",), scenarios=SCENARIOS[:3], name="raise"
+            )
+            with SimulationFarm(workers=1) as farm:
+                job = farm.submit(spec)
+                assert job.wait(timeout=60) == FAILED
+                rows = job.result().cells
+                failed = [row for row in rows if row.error is not None]
+                assert len(failed) == 1
+                assert failed[0].error.startswith("cell_exception: RuntimeError")
+                assert all(row.cycles == 1 for row in rows if row.error is None)
+                assert len(job.fresh) == len(rows) - 1
+                assert farm.counters["workers_respawned"] == 0
+        finally:
+            _unregister("zz_raise")
+
+    @fork_only
     def test_dead_worker_is_respawned_and_the_job_fails_structurally(self):
         """A worker killed mid-shard (twice) must not take the farm down:
         the shard is retried once on a fresh worker, then its cells get
@@ -292,19 +343,22 @@ class TestFarm:
 
 class TestChaos:
     @fork_only
-    def test_killing_a_busy_worker_leaves_results_intact(self):
+    @pytest.mark.parametrize("shard_size, kill_after", [(1, 0), (4, 2)])
+    def test_killing_a_busy_worker_leaves_results_intact(self, shard_size, kill_after):
         """``kill_worker`` mid-shard exercises the real crash-recovery path:
         the worker is respawned, the shard retried, and the job finishes
-        with the same cells it would have produced unharmed."""
+        with the same cells it would have produced unharmed.  A kill after
+        ``kill_after`` cells of a shard were reported retries only the
+        rest: no cell runs twice."""
         _register("zz_slow", _SlowRunner)
         try:
             spec = CampaignSpec(
                 implementations=("zz_slow",), scenarios=SCENARIOS[:4], name="chaos-kill"
             )
-            with SimulationFarm(workers=2, shard_size=1) as farm:
+            with SimulationFarm(workers=2, shard_size=shard_size) as farm:
                 job = farm.submit(spec)
                 with farm.lock:
-                    while not job.in_flight:
+                    while not job.in_flight or len(job.fresh) < kill_after:
                         farm.lock.wait(1.0)
                 killed = farm.kill_worker()
                 assert killed is not None
@@ -313,6 +367,11 @@ class TestChaos:
                 assert len(job.fresh) == len(job.cells)
                 assert farm.counters["workers_respawned"] >= 1
                 assert farm.counters["shards_retried"] >= 1
+                assert farm.counters["cells_executed"] == (
+                    len(job.cells) - len(job.cached)
+                )
+                done = [e["done"] for e in job.events if e["event"] == "cell"]
+                assert done == sorted(set(done)), done
                 # The farm stays fully available after the chaos.
                 follow_up = farm.submit(small_spec(name="after-chaos"))
                 assert follow_up.wait(timeout=60) == DONE
