@@ -1,11 +1,12 @@
 """Campaign subsystem benchmark — writes ``BENCH_campaign.json``.
 
-Runs a ≥32-cell grid three ways (serial, sharded, warm-cache) and records
+Runs a ≥32-cell grid three ways (serial, multi-worker on a transient
+farm, warm-cache) and records
 machine-readable numbers so the performance trajectory is tracked across
 PRs:
 
 * ``serial_cycles_per_s`` — simulated bus cycles per wall-clock second,
-* ``parallel_speedup`` — serial / sharded wall-clock on the same grid
+* ``parallel_speedup`` — serial / multi-worker wall-clock on the same grid
   (bounded by the host's core count, which is recorded as ``host_cpus``;
   on a single-CPU host the sharded timing is *skipped entirely* — process
   sharding cannot speed anything up there, so running it would only burn
@@ -23,13 +24,7 @@ from pathlib import Path
 
 from conftest import record_history, write_bench
 
-from repro.campaign import (
-    ScenarioSweep,
-    SerialExecutor,
-    ShardedExecutor,
-    run_campaign,
-    sweep_grid,
-)
+from repro.campaign import ScenarioSweep, run_campaign, sweep_grid
 
 _BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 _WORKERS = max(2, min(4, os.cpu_count() or 1))
@@ -50,7 +45,7 @@ def test_campaign_serial_vs_sharded_vs_cached(benchmark, once, tmp_path):
     host_cpus = os.cpu_count() or 1
 
     start = time.perf_counter()
-    serial = run_campaign(spec, executor=SerialExecutor())
+    serial = run_campaign(spec)
     serial_s = time.perf_counter() - start
 
     # On a single-CPU host, process sharding cannot win — previously the
@@ -58,7 +53,7 @@ def test_campaign_serial_vs_sharded_vs_cached(benchmark, once, tmp_path):
     # and the field was nulled anyway.  Skip the timing outright and say so.
     if host_cpus >= 2:
         start = time.perf_counter()
-        sharded = run_campaign(spec, executor=ShardedExecutor(workers=_WORKERS))
+        sharded = run_campaign(spec, workers=_WORKERS)
         sharded_s = time.perf_counter() - start
         assert sharded.payload() == serial.payload()
         sharded_field = round(sharded_s, 4)

@@ -1,4 +1,4 @@
-"""Campaign subsystem: declarative scenario grids, pluggable execution,
+"""Campaign subsystem: declarative scenario grids, serial or farm execution,
 content-addressed result caching, and report artifacts.
 
 The moving parts, bottom-up:
@@ -7,8 +7,9 @@ The moving parts, bottom-up:
   Figure 9.1's four rows to arbitrary set-size sweeps,
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the declarative grid
   of implementations × scenarios × seeds × repeats,
-* :mod:`repro.campaign.executor` — :class:`SerialExecutor` and the
-  process-sharded :class:`ShardedExecutor` (bit-identical by construction),
+* :mod:`repro.campaign.executor` — :func:`execute_cells`, the one per-cell
+  loop that serial runs and the farm's workers share (bit-identical by
+  construction),
 * :mod:`repro.campaign.cache` — content-addressed per-cell result cache,
 * :mod:`repro.campaign.runner` — :func:`run_campaign`, the orchestrator,
 * :mod:`repro.campaign.result` — :class:`CampaignResult` aggregation plus
@@ -17,13 +18,7 @@ The moving parts, bottom-up:
 """
 
 from repro.campaign.cache import ResultCache, cell_digest, kernel_fingerprint
-from repro.campaign.executor import (
-    CellError,
-    SerialExecutor,
-    ShardedExecutor,
-    execute_cells,
-    make_executor,
-)
+from repro.campaign.executor import CellError, execute_cells
 from repro.campaign.presets import PAPER_IMPLEMENTATIONS, paper_grid, sweep_grid
 from repro.campaign.result import CampaignResult, CellResult, cell_result
 from repro.campaign.runner import run_campaign
@@ -40,13 +35,10 @@ __all__ = [
     "cell_result",
     "ScenarioSweep",
     "SWEEP_MODES",
-    "SerialExecutor",
-    "ShardedExecutor",
     "PAPER_IMPLEMENTATIONS",
     "cell_digest",
     "execute_cells",
     "kernel_fingerprint",
-    "make_executor",
     "paper_grid",
     "run_campaign",
     "sweep_grid",

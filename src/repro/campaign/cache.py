@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import repro
 from repro.campaign.spec import CampaignCell
+from repro.fileio import atomic_write_text
 from repro.rtl.fsm import fsm_ir_fingerprint
 
 
@@ -117,19 +116,7 @@ class ResultCache:
             "cell": cell.describe(),
             "outcome": [int(outcome[0]), int(outcome[1]), int(outcome[2])],
         }
-        # The temp name must be unique per writer (pid *and* thread): the
-        # farm's dispatcher thread and any number of campaign worker
-        # processes may persist the same digest concurrently, and a shared
-        # temp path would interleave their writes into a torn file that the
-        # final rename then publishes.  With unique temps the os.replace is
-        # the only shared step, and it is atomic — last writer wins with an
-        # identical payload.
-        tmp = path.with_name(
-            f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, path)
-        return path
+        return atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

@@ -82,6 +82,51 @@ def cell_result(cell: CampaignCell, outcome, *, cached: bool = False) -> CellRes
     )
 
 
+def campaign_result(
+    spec: CampaignSpec,
+    cells: Sequence[CampaignCell],
+    outcomes: Mapping[tuple, object],
+    cached: Mapping[tuple, object],
+    *,
+    executor: str,
+    workers: int,
+    elapsed_s: float,
+    **extra: object,
+) -> "CampaignResult":
+    """Aggregate one run of ``spec``: the batch runner and the farm both
+    build their result here, so both report the same ``meta`` keys.
+
+    ``outcomes`` maps every cell key to its outcome or
+    :class:`~repro.campaign.executor.CellError`; ``cached`` holds the keys
+    answered from the result cache.  ``cells_executed`` counts the cells
+    that ran to an outcome; a failed cell counts in ``cells_failed`` only,
+    so cached + executed + failed = total.  ``extra`` adds run-specific
+    keys (the farm's job id and priority).
+    """
+    results = [cell_result(cell, outcomes[cell.key], cached=cell.key in cached)
+               for cell in cells]
+    failed = sum(1 for r in results if r.error is not None)
+    total_cycles = sum(r.cycles for r in results if not r.cached and r.error is None)
+    return CampaignResult(
+        spec=spec,
+        cells=results,
+        meta={
+            "executor": executor,
+            "workers": workers,
+            "elapsed_s": round(elapsed_s, 6),
+            "cells_total": len(results),
+            "cells_cached": len(cached),
+            "cells_executed": len(results) - len(cached) - failed,
+            "cells_failed": failed,
+            "simulated_cycles": total_cycles,
+            "simulated_cycles_per_s": (round(total_cycles / elapsed_s, 1)
+                                       if elapsed_s > 0 else 0.0),
+            "spec_fingerprint": spec.fingerprint(),
+            **extra,
+        },
+    )
+
+
 @dataclass
 class CampaignResult:
     """All cell results of one campaign run, plus run metadata."""

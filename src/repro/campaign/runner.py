@@ -1,9 +1,12 @@
-"""Campaign orchestration: cache lookup → executor → aggregated result.
+"""Campaign orchestration: cache lookup → execution → aggregated result.
 
 :func:`run_campaign` is the one-call path: expand the spec's grid, satisfy
-what it can from the result cache, ship the remaining cells to the chosen
-executor, persist fresh outcomes back to the cache, and aggregate everything
-into a :class:`~repro.campaign.result.CampaignResult`.
+what it can from the result cache, run the remaining cells, persist fresh
+outcomes back to the cache, and aggregate everything into a
+:class:`~repro.campaign.result.CampaignResult`.  One worker runs the cells
+in the calling process; more submit the spec to a short-lived
+:class:`~repro.service.farm.SimulationFarm`, the repository's one
+multi-process engine.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.executor import CellError, CellOutcome, SerialExecutor, make_executor
-from repro.campaign.result import CampaignResult, CellResult, cell_result
-from repro.campaign.spec import CampaignCell, CampaignSpec
+from repro.campaign.executor import CellError, CellOutcome, execute_cells, resolve_workers
+from repro.campaign.result import CampaignResult, campaign_result
+from repro.campaign.spec import CampaignSpec
 from repro.rtl.compile import PROGRAM_CACHE_ENV
 
 
@@ -25,10 +28,10 @@ from repro.rtl.compile import PROGRAM_CACHE_ENV
 def _program_cache_env(cache: Optional[ResultCache]):
     """Point compiled-kernel program caching at the campaign cache directory.
 
-    Exported through the environment so it reaches sharded-executor worker
-    processes (inherited under both fork and spawn); restored afterwards so
-    an un-cached campaign in the same process does not silently keep writing
-    into a stale directory.
+    Exported through the environment, where every compiled simulator built
+    in this process looks it up; restored afterwards so an un-cached
+    campaign in the same process does not silently keep writing into a
+    stale directory.
     """
     if cache is None:
         yield
@@ -47,74 +50,80 @@ def _program_cache_env(cache: Optional[ResultCache]):
 def run_campaign(
     spec: CampaignSpec,
     *,
-    executor=None,
     workers: int = 1,
     cache: Union[ResultCache, Path, str, None] = None,
 ) -> CampaignResult:
     """Run every cell of ``spec`` and aggregate the outcomes.
 
-    ``executor`` wins over ``workers``; with neither, the run is serial.
-    ``cache`` may be a :class:`ResultCache` or a directory path; cached
-    cells are never executed (their stored outcome is trusted — the content
-    address covers the inputs and the kernel sources).
+    ``workers`` is 1 (serial, in this process), N > 1 (a transient farm of
+    N worker processes), or 0 (one worker per CPU).  ``cache`` may be a
+    :class:`ResultCache` or a directory path; cached cells are never
+    executed (their stored outcome is trusted — the content address covers
+    the inputs and the kernel sources).
+
+    A faulted cell that raises, and a cell whose worker died twice, become
+    error rows.  A clean cell that raises fails the whole run, on both
+    paths, after every other cell's outcome has been persisted.
     """
-    if executor is None:
-        executor = make_executor(workers)
+    workers = resolve_workers(workers)
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
+    if workers > 1:
+        return _run_on_farm(spec, workers, cache)
 
     cells = spec.cells()
     started = time.perf_counter()
-
     cached: Dict[tuple, CellOutcome] = {}
-    pending = []
+    pending = list(cells)
     if cache is not None:
+        pending = []
         for cell in cells:
             outcome = cache.get(cell)
             if outcome is None:
                 pending.append(cell)
             else:
                 cached[cell.key] = outcome
-    else:
-        pending = list(cells)
 
-    fresh: Dict[tuple, CellOutcome] = {}
-    if pending:
-        # Persist outcomes as they land (per cell serially, per shard when
-        # sharded), so an interrupted campaign resumes from what it finished.
-        # CellError records are never persisted: a worker crash says nothing
-        # about what the outcome would have been.
-        on_result = None
-        if cache is not None:
-            def on_result(cell, outcome, _put=cache.put):
-                if not isinstance(outcome, CellError):
-                    _put(cell, outcome)
-        with _program_cache_env(cache):
-            fresh = executor.execute(pending, on_result)
-        missing = [cell.key for cell in pending if cell.key not in fresh]
-        if missing:
-            raise RuntimeError(f"executor returned no outcome for cells: {missing[:5]}")
+    # Persist outcomes as they land, so an interrupted campaign resumes from
+    # what it finished.  CellError records are never persisted: an error
+    # says nothing about what the outcome would have been.
+    on_result = None
+    if cache is not None:
+        def on_result(cell, outcome, _put=cache.put):
+            if not isinstance(outcome, CellError):
+                _put(cell, outcome)
+    with _program_cache_env(cache):
+        fresh = execute_cells(pending, on_result)
+    return campaign_result(
+        spec, cells, {**cached, **fresh}, cached, executor="serial", workers=1,
+        elapsed_s=time.perf_counter() - started,
+    )
 
-    elapsed = time.perf_counter() - started
-    results = [
-        cell_result(cell, cached.get(cell.key) or fresh[cell.key], cached=cell.key in cached)
-        for cell in cells
-    ]
-    failed = sum(1 for r in results if r.error is not None)
-    total_cycles = sum(r.cycles for r in results if not r.cached and r.error is None)
-    return CampaignResult(
-        spec=spec,
-        cells=results,
-        meta={
-            "executor": getattr(executor, "name", type(executor).__name__),
-            "workers": getattr(executor, "workers", 1),
-            "elapsed_s": round(elapsed, 6),
-            "cells_total": len(cells),
-            "cells_cached": len(cached),
-            "cells_executed": len(pending),
-            "cells_failed": failed,
-            "simulated_cycles": total_cycles,
-            "simulated_cycles_per_s": round(total_cycles / elapsed, 1) if elapsed > 0 else 0.0,
-            "spec_fingerprint": spec.fingerprint(),
-        },
+
+def _run_on_farm(
+    spec: CampaignSpec, workers: int, cache: Optional[ResultCache]
+) -> CampaignResult:
+    """Submit ``spec`` to a farm that lives for this one job.
+
+    No stuck-worker watchdog: a batch run has no deadline, so a long cell
+    must not turn into a ``worker_stuck`` row.
+    """
+    from repro.service.farm import SimulationFarm
+
+    started = time.perf_counter()
+    with SimulationFarm(workers, cache=cache, stuck_timeout_s=None) as farm:
+        job = farm.submit(spec)
+        job.wait()
+    # The farm records a clean cell that raised as a row and serves on; the
+    # batch contract is to raise, which happens here, once every other
+    # cell has reached the cache.
+    for cell in job.cells:
+        error = job.errors.get(cell.key)
+        if cell.faults is None and error is not None and error.kind == "cell_exception":
+            raise RuntimeError(error.message)
+    # Timed here rather than from the job's submission, so the figure
+    # includes starting and stopping the workers, as a caller waits for them.
+    return campaign_result(
+        spec, job.cells, {**job.cached, **job.fresh, **job.errors}, job.cached,
+        executor="farm", workers=workers, elapsed_s=time.perf_counter() - started,
     )

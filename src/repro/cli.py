@@ -15,9 +15,9 @@ Subcommands:
 
 ``splice campaign run``
     Run a declarative campaign grid (a preset, or implementations × a
-    parametric scenario sweep) serially or sharded across worker processes,
+    parametric scenario sweep) serially or on a farm of worker processes,
     with an optional content-addressed result cache, and write
-    JSON/CSV/markdown artifacts.
+    JSON/CSV/markdown artifacts.  Exits 1 when any cell has an error row.
 
 ``splice campaign report <campaign.json>``
     Re-render a previously written campaign result as markdown, CSV or a
@@ -88,8 +88,8 @@ _KERNEL_CHOICES = tuple(sorted(KERNELS))
 
 def _workers_arg(value: str) -> int:
     """``--workers`` spelling: a positive count, or ``auto``/``0`` for one
-    worker per host CPU (resolved by :func:`repro.campaign.make_executor` /
-    :func:`repro.service.resolve_workers`)."""
+    worker per host CPU (resolved by
+    :func:`repro.campaign.executor.resolve_workers`)."""
     if value == "auto":
         return 0
     try:
@@ -634,7 +634,9 @@ def _campaign_run(args) -> int:
     else:
         print()
         print(result.to_markdown(names=IMPLEMENTATION_NAMES))
-    return 0
+    # Like `splice submit` on a failed job: error rows are results, but the
+    # run did not produce every outcome it was asked for.
+    return 1 if meta["cells_failed"] else 0
 
 
 def _campaign_report(args) -> int:

@@ -58,18 +58,82 @@ _BASE_ADDRESS = 0x80030000
 _NUM_SLOTS = 8
 
 
-def _complete_interpolation(device) -> None:
-    """Finish a baseline's calculation: both hand-coded devices share the
-    identical completion bookkeeping."""
-    device.result = interpolate_fixed_point(
-        device.sets[SLOT_SET1], device.sets[SLOT_SET2], device.sets[SLOT_SET3]
-    )
-    device.calc_done = True
-    device._calculating = False
-    device.activations += 1
+class _HandCodedInterpolator(Module):
+    """The data path both hand-coded slaves share: three input sets, each
+    preceded by its count header, and the fixed-latency calculation.
+
+    A subclass sets up its bus handshake state, then calls :meth:`_bind`
+    with its FSM's signal and constant bindings; the helpers the FSMs call
+    are the methods below.
+    """
+
+    def __init__(self, name: str, calc_latency: int) -> None:
+        super().__init__(name)
+        self.calc_latency = calc_latency
+        self.sets: Dict[int, List[int]] = {SLOT_SET1: [], SLOT_SET2: [], SLOT_SET3: []}
+        self.expected: Dict[int, int] = {SLOT_SET1: -1, SLOT_SET2: -1, SLOT_SET3: -1}
+        self.result = 0
+        self.calc_done = False
+        self._calculating = False
+        self._calc_counter = 0
+        self.activations = 0
+
+    def _bind(self, signals: Dict[str, object], sensitive_to: Sequence,
+              consts: Dict[str, int]) -> None:
+        self.fsm = BoundFsm(
+            self._fsm_spec(),
+            self,
+            signals=signals,
+            helpers={
+                "h_reset_state": self._reset_state,
+                "h_finish_calc": self._finish_calc,
+                "h_store_word": self._store_word,
+                "h_clear_inputs": self._clear_inputs,
+            },
+            consts=consts,
+        )
+        self.clocked(self.fsm.tick, sensitive_to=sensitive_to)
+
+    def _finish_calc(self) -> None:
+        self.result = interpolate_fixed_point(
+            self.sets[SLOT_SET1], self.sets[SLOT_SET2], self.sets[SLOT_SET3]
+        )
+        self.calc_done = True
+        self._calculating = False
+        self.activations += 1
+
+    def _store_word(self, slot: int, word: int) -> None:
+        if slot not in self.sets:
+            return
+        if self.expected[slot] < 0:
+            self.expected[slot] = word  # count header
+            self.sets[slot] = []
+        else:
+            self.sets[slot].append(word)
+        if slot == SLOT_SET3 and all(
+            self.expected[s] >= 0 and len(self.sets[s]) >= self.expected[s]
+            for s in (SLOT_SET1, SLOT_SET2, SLOT_SET3)
+        ):
+            self._calculating = True
+            self._calc_counter = 0
+            self.calc_done = False
+
+    def _clear_inputs(self) -> None:
+        for slot in self.sets:
+            self.sets[slot] = []
+            self.expected[slot] = -1
+
+    def _reset_state(self) -> None:
+        """The data-path half of a bus reset; subclasses reset their
+        handshake state after it."""
+        self._clear_inputs()
+        self.result = 0
+        self.calc_done = False
+        self._calculating = False
+        self._calc_counter = 0
 
 
-class NaivePLBInterpolator(Module):
+class NaivePLBInterpolator(_HandCodedInterpolator):
     """The naïve hand-coded PLB interpolator slave."""
 
     #: Wait-state cycles inserted between seeing a write and acknowledging it
@@ -84,38 +148,22 @@ class NaivePLBInterpolator(Module):
         plb: PLBSlaveBundle,
         calc_latency: int = CALCULATION_LATENCY,
     ) -> None:
-        super().__init__(name)
+        super().__init__(name, calc_latency)
         self.plb = plb
-        self.calc_latency = calc_latency
-        self.sets: Dict[int, List[int]] = {SLOT_SET1: [], SLOT_SET2: [], SLOT_SET3: []}
-        self.expected: Dict[int, int] = {SLOT_SET1: -1, SLOT_SET2: -1, SLOT_SET3: -1}
-        self.result = 0
-        self.calc_done = False
-        self._calc_counter = 0
-        self._calculating = False
         self._state = "idle"
         self._delay = 0
         self._pending_slot = 0
         self._pending_data = 0
-        self.activations = 0
-        sensitivity = [
-            plb.rst, plb.wr_req, plb.wr_ce, plb.rd_req, plb.rd_ce, plb.data_to_slave,
-        ]
-        self.fsm = BoundFsm(
-            self._fsm_spec(),
-            self,
+        self._bind(
             signals={
                 "prst": plb.rst, "wr_req": plb.wr_req, "wr_ce": plb.wr_ce,
                 "rd_req": plb.rd_req, "rd_ce": plb.rd_ce,
                 "d2s": plb.data_to_slave, "dfs": plb.data_from_slave,
                 "wr_ack": plb.wr_ack, "rd_ack": plb.rd_ack,
             },
-            helpers={
-                "h_reset_state": self._reset_state,
-                "h_finish_calc": self._finish_calc,
-                "h_store_word": self._store_word,
-                "h_clear_inputs": self._clear_inputs,
-            },
+            sensitive_to=[
+                plb.rst, plb.wr_req, plb.wr_ce, plb.rd_req, plb.rd_ce, plb.data_to_slave,
+            ],
             consts={
                 "WWAIT": self.WRITE_WAIT_STATES,
                 "RWAIT": self.READ_WAIT_STATES,
@@ -123,7 +171,6 @@ class NaivePLBInterpolator(Module):
                 "RESULT": SLOT_RESULT,
             },
         )
-        self.clocked(self.fsm.tick, sensitive_to=sensitivity)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -247,48 +294,13 @@ class NaivePLBInterpolator(Module):
             consts=("WWAIT", "RWAIT", "STATUS", "RESULT"),
         )
 
-    def _finish_calc(self) -> None:
-        _complete_interpolation(self)
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _store_word(self, slot: int, word: int) -> None:
-        if slot not in self.sets:
-            return
-        if self.expected[slot] < 0:
-            self.expected[slot] = word  # count header
-            self.sets[slot] = []
-        else:
-            self.sets[slot].append(word)
-        if (
-            slot == SLOT_SET3
-            and self.expected[SLOT_SET3] >= 0
-            and len(self.sets[SLOT_SET3]) >= self.expected[SLOT_SET3]
-            and all(
-                self.expected[s] >= 0 and len(self.sets[s]) >= self.expected[s]
-                for s in (SLOT_SET1, SLOT_SET2, SLOT_SET3)
-            )
-        ):
-            self._calculating = True
-            self._calc_counter = 0
-            self.calc_done = False
-
-    def _clear_inputs(self) -> None:
-        for slot in self.sets:
-            self.sets[slot] = []
-            self.expected[slot] = -1
-
     def _reset_state(self) -> None:
-        self._clear_inputs()
-        self.result = 0
-        self.calc_done = False
-        self._calculating = False
-        self._calc_counter = 0
+        super()._reset_state()
         self._state = "idle"
         self._delay = 0
 
 
-class OptimizedFCBInterpolator(Module):
+class OptimizedFCBInterpolator(_HandCodedInterpolator):
     """The hand-tuned FCB interpolator slave (acknowledges beats back-to-back)."""
 
     def __init__(
@@ -297,42 +309,25 @@ class OptimizedFCBInterpolator(Module):
         fcb: FCBSlaveBundle,
         calc_latency: int = CALCULATION_LATENCY,
     ) -> None:
-        super().__init__(name)
+        super().__init__(name, calc_latency)
         self.fcb = fcb
-        self.calc_latency = calc_latency
-        self.sets: Dict[int, List[int]] = {SLOT_SET1: [], SLOT_SET2: [], SLOT_SET3: []}
-        self.expected: Dict[int, int] = {SLOT_SET1: -1, SLOT_SET2: -1, SLOT_SET3: -1}
-        self.result = 0
-        self.calc_done = False
-        self._calculating = False
-        self._calc_counter = 0
         self._target_slot = 0
         self._is_write = False
         self._beat_seen = True
         self._decode_wait = 0
-        self.activations = 0
-        sensitivity = [
-            fcb.rst, fcb.req, fcb.func_sel, fcb.is_write,
-            fcb.data_valid, fcb.data_to_slave,
-        ]
-        self.fsm = BoundFsm(
-            self._fsm_spec(),
-            self,
+        self._bind(
             signals={
                 "prst": fcb.rst, "req": fcb.req, "func_sel": fcb.func_sel,
                 "is_write": fcb.is_write, "data_valid": fcb.data_valid,
                 "d2s": fcb.data_to_slave, "dfs": fcb.data_from_slave,
                 "ack": fcb.ack, "resp_valid": fcb.resp_valid,
             },
-            helpers={
-                "h_reset_state": self._reset_state,
-                "h_finish_calc": self._finish_calc,
-                "h_store_word": self._store_word,
-                "h_clear_inputs": self._clear_inputs,
-            },
+            sensitive_to=[
+                fcb.rst, fcb.req, fcb.func_sel, fcb.is_write,
+                fcb.data_valid, fcb.data_to_slave,
+            ],
             consts={"RESULT": SLOT_RESULT},
         )
-        self.clocked(self.fsm.tick, sensitive_to=sensitivity)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -450,41 +445,8 @@ class OptimizedFCBInterpolator(Module):
             consts=("RESULT",),
         )
 
-    def _finish_calc(self) -> None:
-        _complete_interpolation(self)
-
-    def _store_word(self, slot: int, word: int) -> None:
-        if slot not in self.sets:
-            return
-        if self.expected[slot] < 0:
-            self.expected[slot] = word
-            self.sets[slot] = []
-        else:
-            self.sets[slot].append(word)
-        if (
-            slot == SLOT_SET3
-            and all(
-                self.expected[s] >= 0 and len(self.sets[s]) >= self.expected[s]
-                for s in (SLOT_SET1, SLOT_SET2, SLOT_SET3)
-            )
-            and self.expected[SLOT_SET3] >= 0
-            and len(self.sets[SLOT_SET3]) >= self.expected[SLOT_SET3]
-        ):
-            self._calculating = True
-            self._calc_counter = 0
-            self.calc_done = False
-
-    def _clear_inputs(self) -> None:
-        for slot in self.sets:
-            self.sets[slot] = []
-            self.expected[slot] = -1
-
     def _reset_state(self) -> None:
-        self._clear_inputs()
-        self.result = 0
-        self.calc_done = False
-        self._calculating = False
-        self._calc_counter = 0
+        super()._reset_state()
         self._target_slot = 0
         self._beat_seen = True
 
@@ -569,6 +531,23 @@ class OptimizedFCBSystem(BaselineSystem):
         }
 
 
+def _build_system(system_cls, make_parts, label, inter_op_gap, simulator_factory,
+                  record_transactions):
+    """Attach the bundle, master and device ``make_parts()`` returns to a
+    fresh simulator and CPU model — the assembly both baselines share."""
+    simulator = simulator_factory()
+    bundle, master, device = make_parts()
+    master.record_transactions = record_transactions
+    simulator.register_module(master)
+    simulator.register_module(device)
+    simulator.add_signals(bundle.signals())
+    simulator.reset()
+    processor = ProcessorModel(
+        simulator, master, inter_op_gap=inter_op_gap, record_transactions=record_transactions
+    )
+    return system_cls(simulator=simulator, processor=processor, device=device, label=label)
+
+
 def build_naive_plb_system(
     *,
     inter_op_gap: int = 1,
@@ -576,21 +555,13 @@ def build_naive_plb_system(
     record_transactions: bool = True,
 ) -> NaivePLBSystem:
     """Assemble the naïve hand-coded PLB interpolator system."""
-    simulator = simulator_factory()
-    plb = PLBSlaveBundle("naive.plb", data_width=32, num_slots=_NUM_SLOTS)
-    master = PLBMaster("naive.plb_master", plb, base_address=_BASE_ADDRESS)
-    master.record_transactions = record_transactions
-    device = NaivePLBInterpolator("naive_plb_interp", plb)
-    simulator.register_module(master)
-    simulator.register_module(device)
-    simulator.add_signals(plb.signals())
-    simulator.reset()
-    processor = ProcessorModel(
-        simulator, master, inter_op_gap=inter_op_gap, record_transactions=record_transactions
-    )
-    return NaivePLBSystem(
-        simulator=simulator, processor=processor, device=device, label="simple_plb_handcoded"
-    )
+    def parts():
+        plb = PLBSlaveBundle("naive.plb", data_width=32, num_slots=_NUM_SLOTS)
+        return (plb, PLBMaster("naive.plb_master", plb, base_address=_BASE_ADDRESS),
+                NaivePLBInterpolator("naive_plb_interp", plb))
+
+    return _build_system(NaivePLBSystem, parts, "simple_plb_handcoded", inter_op_gap,
+                         simulator_factory, record_transactions)
 
 
 def build_optimized_fcb_system(
@@ -600,21 +571,13 @@ def build_optimized_fcb_system(
     record_transactions: bool = True,
 ) -> OptimizedFCBSystem:
     """Assemble the hand-tuned FCB interpolator system."""
-    simulator = simulator_factory()
-    fcb = FCBSlaveBundle("optfcb.fcb", data_width=32, func_id_width=4)
-    master = FCBMaster("optfcb.fcb_master", fcb)
-    master.record_transactions = record_transactions
-    device = OptimizedFCBInterpolator("optimized_fcb_interp", fcb)
-    simulator.register_module(master)
-    simulator.register_module(device)
-    simulator.add_signals(fcb.signals())
-    simulator.reset()
-    processor = ProcessorModel(
-        simulator, master, inter_op_gap=inter_op_gap, record_transactions=record_transactions
-    )
-    return OptimizedFCBSystem(
-        simulator=simulator, processor=processor, device=device, label="optimized_fcb_handcoded"
-    )
+    def parts():
+        fcb = FCBSlaveBundle("optfcb.fcb", data_width=32, func_id_width=4)
+        return (fcb, FCBMaster("optfcb.fcb_master", fcb),
+                OptimizedFCBInterpolator("optimized_fcb_interp", fcb))
+
+    return _build_system(OptimizedFCBSystem, parts, "optimized_fcb_handcoded", inter_op_gap,
+                         simulator_factory, record_transactions)
 
 
 # -- resource descriptions (for the Figure 9.3 comparison) ---------------------------

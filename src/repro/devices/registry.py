@@ -31,8 +31,8 @@ def register_runner(label: str, builder: Callable[[], object], *, replace: bool 
 
     Builders must be importable module-level callables (or partials of them)
     so that worker processes can rebuild the runner from the label alone.
-    Note that a registration made at runtime only reaches sharded-executor
-    workers when processes are forked (Linux default); under the ``spawn``
+    Note that a registration made at runtime only reaches farm workers
+    (multi-worker campaigns, ``splice serve``) when processes are forked (Linux default); under the ``spawn``
     start method, perform the registration in a module the workers import.
     """
     if label in _BUILDERS and not replace:

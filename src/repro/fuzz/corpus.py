@@ -15,12 +15,11 @@ the bare test extras) even where the generation stack is absent.
 from __future__ import annotations
 
 import json
-import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro.fileio import atomic_write_text
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.oracle import DEFAULT_TIMEOUT_S, CaseVerdict, run_case
 
@@ -92,13 +91,7 @@ def save_case(counterexample: Counterexample, directory: Union[str, Path]) -> Pa
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / counterexample.filename
-    tmp = path.with_name(
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    )
-    tmp.write_text(counterexample.to_json())
-    os.replace(tmp, path)
-    return path
+    return atomic_write_text(directory / counterexample.filename, counterexample.to_json())
 
 
 def corpus_files(directory: Union[str, Path] = DEFAULT_CORPUS_DIR) -> List[Path]:

@@ -96,12 +96,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.fileio import atomic_write_text
 from repro.rtl.signal import Signal
 from repro.rtl.simulator import Process, SimulationError, Simulator, WaitCondition
 
@@ -161,15 +161,7 @@ class CompiledProgramCache:
             "order": list(order),
             "ranks": {str(k): v for k, v in ranks.items()},
         }
-        # Unique per pid *and* thread: the farm compiles programs from
-        # multiple threads of one process, so a pid-only temp name could
-        # still interleave two writers into a torn entry.
-        tmp = path.with_name(
-            f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return path
+        return atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 #: Sentinel for "no timed wake pending" (compares greater than any cycle).

@@ -1,9 +1,9 @@
 """Campaign-as-a-service: a long-lived simulation farm.
 
 Where :mod:`repro.campaign` is strictly batch — every ``splice campaign
-run`` pays a fresh process pool, re-imports, re-elaborates, re-compiles,
-and exits — this package keeps everything warm and puts a queue and an HTTP
-API in front of it:
+run`` re-imports, re-elaborates and re-compiles, and a multi-worker run
+starts a farm for its one job and stops it again — this package keeps the
+farm warm and puts a queue and an HTTP API in front of it:
 
 * :class:`~repro.service.farm.SimulationFarm` — persistent worker processes
   holding built runners and compiled programs resident across jobs, a
@@ -35,6 +35,7 @@ another lives in one :class:`~repro.service.kinds.JobKind` per workload;
 the rest of the package never branches on kind.
 """
 
+from repro.campaign.executor import resolve_workers
 from repro.service.api import build_handler, serve_farm, serve_farm_in_thread
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.farm import (
@@ -42,7 +43,6 @@ from repro.service.farm import (
     DEFAULT_STUCK_TIMEOUT_S,
     FarmSaturated,
     SimulationFarm,
-    resolve_workers,
 )
 from repro.service.jobs import (
     CANCELLED,

@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.executor import CellError
+from repro.campaign.executor import CellError, resolve_workers
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -108,19 +108,10 @@ class FarmSaturated(RuntimeError):
         self.retry_after_s = retry_after_s
 
 
-def resolve_workers(workers: int) -> int:
-    """``0`` (the ``--workers auto`` spelling) → ``os.cpu_count()``.
-
-    The same rule :func:`repro.campaign.executor.make_executor` applies, so
-    "auto" means the identical thing on the batch and service paths.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 = auto), got {workers}")
-    return workers if workers > 0 else (os.cpu_count() or 1)
-
-
 class SimulationFarm:
-    """A long-lived pool of warm simulation workers behind a job queue."""
+    """A pool of warm simulation workers behind a job queue: long-lived
+    behind ``splice serve``, or started for one multi-worker
+    :func:`~repro.campaign.runner.run_campaign` call."""
 
     def __init__(
         self,
@@ -173,6 +164,10 @@ class SimulationFarm:
 
         self._cond = threading.Condition()
         self._jobs: Dict[str, Job] = {}
+        #: The jobs that may still be non-terminal, in admission order; read
+        #: through :meth:`_live`, so per-pass work scales with active jobs,
+        #: not with every job ever served.
+        self._active: List[Job] = []
         self._queue = JobQueue()
         self._workers: List[WorkerHandle] = []
         self._idempotency: Dict[str, str] = {}
@@ -237,10 +232,9 @@ class SimulationFarm:
             # forced cancellations are deliberately NOT journaled: on a
             # durable farm, "stopped while jobs were pending" is exactly the
             # state a restart on the same --state-dir must resume from.
-            for job in self._jobs.values():
-                if not job.is_terminal:
-                    job.pending_shards.clear()
-                    job.enter_state(CANCELLED, reason="farm stopped")
+            for job in self._live():
+                job.pending_shards.clear()
+                job.enter_state(CANCELLED, reason="farm stopped")
         self._wake()
         self._dispatcher.join(timeout=10)
         for handle in self._workers:
@@ -341,12 +335,18 @@ class SimulationFarm:
         """Lock held: enforce the bounded active-job depth."""
         if self.queue_limit is None:
             return
-        active = sum(1 for j in self._jobs.values() if not j.is_terminal)
+        active = len(self._live())
         if active >= self.queue_limit:
             self.counters["jobs_rejected"] += 1
             raise FarmSaturated(
                 f"farm saturated: {active} active jobs (limit {self.queue_limit})"
             )
+
+    def _live(self) -> List[Job]:
+        """Lock held: the non-terminal jobs.  The one place terminal jobs
+        leave :attr:`_active`."""
+        self._active = [job for job in self._active if not job.is_terminal]
+        return self._active
 
     def _journal_append(self, type_: str, **fields) -> None:
         # Buffered write only — the farm lock is held at every call site,
@@ -378,6 +378,7 @@ class SimulationFarm:
         """Lock held: register, take the units answered at admit, shard the rest."""
         kind = job.kind
         self._jobs[job.id] = job
+        job.workers = self.worker_count
         job.cached, job.fresh = cached, fresh
         answered = len(cached) + len(fresh)
         self.counters[kind.total_counter] += len(job.cells)
@@ -404,6 +405,7 @@ class SimulationFarm:
         for shard_id, start in enumerate(range(0, len(pending), size)):
             units = [job.by_key[key] for key in pending[start:start + size]]
             job.pending_shards.append(Shard(job.id, shard_id, units))
+        self._active.append(job)
         self._queue.push(job)
 
     # -- recovery ----------------------------------------------------------------
@@ -488,11 +490,7 @@ class SimulationFarm:
         deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         with self._cond:
             self._draining = True
-
-            def active() -> List[Job]:
-                return [j for j in self._jobs.values() if not j.is_terminal]
-
-            while active() and self._running:
+            while self._live() and self._running:
                 remaining = (None if deadline is None
                              else deadline - time.perf_counter())
                 if remaining is not None and remaining <= 0:
@@ -501,7 +499,7 @@ class SimulationFarm:
                 # wakes at every cell/shard/terminal event; the cap only
                 # bounds staleness if a notification is missed.
                 self._cond.wait(timeout=0.1 if remaining is None else min(0.1, remaining))
-            leftovers = active()
+            leftovers = self._live()
             for job in leftovers:
                 job.pending_shards.clear()
                 job.enter_state(CANCELLED, reason="drain timeout",
@@ -675,9 +673,7 @@ class SimulationFarm:
 
     def _check_timeouts(self) -> None:
         now = time.perf_counter()
-        for job in self._jobs.values():
-            if job.is_terminal:
-                continue
+        for job in self._live():
             deadline = job.deadline
             if deadline is not None and now >= deadline:
                 job.pending_shards.clear()
@@ -745,8 +741,9 @@ class SimulationFarm:
             # rest is retried (or failed).
             shard.units = self._unaccounted(job, shard)
             if shard.units and shard.attempts <= 1:
-                # One retry on the fresh worker — same policy as the batch
-                # ShardedExecutor.
+                # One retry on the fresh worker; a shard whose retry dies
+                # too fails its cells, so one poisoned shard cannot stall
+                # the job.
                 self.counters["shards_retried"] += 1
                 job.pending_shards.appendleft(shard)
                 self._queue.push(job)
@@ -813,12 +810,10 @@ class SimulationFarm:
             states = {state: 0 for state in
                       (QUEUED, RUNNING, DONE, FAILED, CANCELLED, TIMEOUT)}
             kinds = {name: 0 for name in KINDS}
-            active = 0
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
                 kinds[job.kind.name] += 1
-                if not job.is_terminal:
-                    active += 1
+            active = len(self._live())
             uptime = (time.perf_counter() - self._started_at
                       if self._started_at is not None else 0.0)
             total = self.counters["cells_total"]

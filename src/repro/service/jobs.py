@@ -89,6 +89,8 @@ class Job:
         #: server restart rather than submitted by a client this lifetime.
         self.recovered = False
         self.idempotency_key: Optional[str] = None
+        #: Size of the worker pool serving this job; set when a farm admits it.
+        self.workers: Optional[int] = None
 
         self.state = QUEUED
         self.submitted_wall = time.time()

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.fileio import atomic_write_text
 from repro.service.kinds import KINDS
 
 JOURNAL_VERSION = 1
@@ -150,17 +151,10 @@ class JobJournal:
         """
         with self._sync_lock, self._lock:
             self._fh.close()
-            tmp = self.path.with_name(
-                f".{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            atomic_write_text(self.path, "".join(
+                json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+                for record in records
+            ), fsync=self.fsync)
             self._fh = open(self.path, "a", encoding="utf-8")
             self._synced = self._written
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.campaign.cache import cell_digest
 from repro.campaign.executor import CellError, execute_cells
-from repro.campaign.result import CampaignResult, cell_result
+from repro.campaign.result import CampaignResult, campaign_result
 from repro.campaign.spec import CampaignSpec
 
 #: Minimum seconds between fuzz-case heartbeats (campaign shards heartbeat
@@ -235,28 +235,10 @@ class CampaignKind(JobKind):
     def result(self, job) -> CampaignResult:
         """A :class:`CampaignResult` whose cells are bit-identical to the
         batch runner's on the same spec."""
-        results = []
-        for cell in job.cells:
-            key = cell.key
-            outcome = job.errors.get(key) or job.cached.get(key) or job.fresh[key]
-            results.append(cell_result(cell, outcome, cached=key in job.cached))
-        elapsed = (job.finished or time.perf_counter()) - job.submitted
-        total_cycles = sum(r.cycles for r in results if not r.cached and r.error is None)
-        return CampaignResult(
-            spec=job.spec,
-            cells=results,
-            meta={
-                "executor": "farm",
-                "job_id": job.id,
-                "priority": job.priority,
-                "elapsed_s": round(elapsed, 6),
-                "cells_total": len(job.cells),
-                "cells_cached": len(job.cached),
-                "cells_executed": len(job.fresh),
-                "cells_failed": len(job.errors),
-                "simulated_cycles": total_cycles,
-                "spec_fingerprint": job.spec.fingerprint(),
-            },
+        return campaign_result(
+            job.spec, job.cells, {**job.cached, **job.fresh, **job.errors},
+            job.cached, executor="farm", workers=job.workers,
+            elapsed_s=job.elapsed_s, job_id=job.id, priority=job.priority,
         )
 
 

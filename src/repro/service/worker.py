@@ -1,11 +1,10 @@
 """Warm worker processes: runners stay resident across jobs.
 
-This is what separates the farm from ``splice campaign run``'s throwaway
-``ProcessPoolExecutor``: a worker process lives for the whole service
-lifetime, keeps every runner it has ever built in one caller-held
-dictionary keyed by ``(label, kernel)`` (the ``runners`` argument of
-:func:`~repro.campaign.executor.execute_cells`), and points the compiled
-kernel at the shared :class:`~repro.rtl.compile.CompiledProgramCache`
+A worker process lives as long as its farm (a server's, or one
+multi-worker ``run_campaign`` call's), keeps every runner it has ever built
+in one caller-held dictionary keyed by ``(label, kernel)`` (the ``runners``
+argument of :func:`~repro.campaign.executor.execute_cells`), and points the
+compiled kernel at the shared :class:`~repro.rtl.compile.CompiledProgramCache`
 directory — so after the first job touches an implementation, every later
 job pays neither spec parsing, nor elaboration, nor codegen for it.
 
@@ -33,8 +32,7 @@ Protocol (all messages are small picklable tuples):
 
 A worker that dies (OOM, segfault, ``os._exit``) simply stops sending; the
 dispatcher notices the dead process, respawns a fresh worker, and retries
-the shard's unreported units once before recording structured errors —
-mirroring :class:`~repro.campaign.executor.ShardedExecutor`'s crash policy.
+the shard's unreported units once before recording structured errors.
 A worker that *hangs* stops heartbeating instead: the dispatcher's watchdog
 SIGKILLs it and the same respawn/retry path runs, ending in ``worker_stuck``
 errors if the retry hangs too.

@@ -11,8 +11,6 @@ from repro.campaign import (
     CampaignSpec,
     ResultCache,
     ScenarioSweep,
-    SerialExecutor,
-    ShardedExecutor,
     cell_digest,
     paper_grid,
     run_campaign,
@@ -203,23 +201,11 @@ class TestExecutors:
 
     @pytest.fixture(scope="class")
     def serial_result(self, grid):
-        return run_campaign(grid, executor=SerialExecutor())
+        return run_campaign(grid)
 
     def test_sharded_is_bit_identical_to_serial_on_the_paper_grid(self, grid, serial_result):
-        sharded = run_campaign(grid, executor=ShardedExecutor(workers=2))
+        sharded = run_campaign(grid, workers=2)
         assert sharded.payload() == serial_result.payload()
-
-    def test_partition_preserves_cells_and_balances(self, grid):
-        cells = grid.cells()
-        shards = ShardedExecutor.partition(cells, 4)
-        merged = sorted((c for shard in shards for c in shard), key=lambda c: c.key)
-        assert merged == sorted(cells, key=lambda c: c.key)
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_partition_never_exceeds_cell_count(self, grid):
-        shards = ShardedExecutor.partition(grid.cells()[:3], 8)
-        assert len(shards) == 3
 
     def test_executor_matches_legacy_experiment_table(self, serial_result):
         from repro.evaluation.experiments import run_cycles_experiment
@@ -240,45 +226,37 @@ class TestExecutors:
         )  # 5 implementations x 4 scenarios x 2 seeds x 2 repeats = 80 cells
         assert spec.cell_count >= 32
         start = time.perf_counter()
-        serial = run_campaign(spec, executor=SerialExecutor())
+        serial = run_campaign(spec)
         serial_s = time.perf_counter() - start
         start = time.perf_counter()
-        sharded = run_campaign(spec, executor=ShardedExecutor(workers=4))
+        sharded = run_campaign(spec, workers=4)
         sharded_s = time.perf_counter() - start
         assert sharded.payload() == serial.payload()
         assert serial_s / sharded_s >= 2.0, f"speedup {serial_s / sharded_s:.2f}x"
 
 
-class TestMakeExecutor:
+class TestWorkerCount:
+    _SPEC = CampaignSpec(implementations=("splice_plb",), scenarios=SCENARIOS[:1])
+
     def test_one_means_serial(self):
-        from repro.campaign import make_executor
+        meta = run_campaign(self._SPEC, workers=1).meta
+        assert (meta["executor"], meta["workers"]) == ("serial", 1)
 
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(None), (SerialExecutor, ShardedExecutor))
-
-    def test_many_means_sharded(self):
-        from repro.campaign import make_executor
-
-        executor = make_executor(3)
-        assert isinstance(executor, ShardedExecutor)
-        assert executor.workers == 3
+    def test_many_means_the_farm_with_the_same_meta_keys(self):
+        serial = run_campaign(self._SPEC).meta
+        farm = run_campaign(self._SPEC, workers=2).meta
+        assert (farm["executor"], farm["workers"]) == ("farm", 2)
+        assert set(serial) == set(farm)
+        for key in ("cells_total", "cells_cached", "cells_executed", "cells_failed",
+                    "simulated_cycles", "spec_fingerprint"):
+            assert farm[key] == serial[key], key
 
     def test_zero_means_one_worker_per_cpu(self):
-        from repro.campaign import make_executor
-
-        cpus = os.cpu_count() or 1
-        executor = make_executor(0)
-        if cpus <= 1:
-            assert isinstance(executor, SerialExecutor)
-        else:
-            assert isinstance(executor, ShardedExecutor)
-            assert executor.workers == cpus
+        assert run_campaign(self._SPEC, workers=0).meta["workers"] == (os.cpu_count() or 1)
 
     def test_negative_rejected(self):
-        from repro.campaign import make_executor
-
         with pytest.raises(ValueError):
-            make_executor(-2)
+            run_campaign(self._SPEC, workers=-2)
 
 
 class TestWorkerCrashIsolation:
@@ -287,8 +265,8 @@ class TestWorkerCrashIsolation:
         reason="runtime-registered runners only reach workers under fork",
     )
     def test_dead_worker_yields_error_records_not_a_crash(self, tmp_path):
-        """A worker process dying mid-shard (BrokenProcessPool) retries the
-        shard once on a fresh pool; if that dies too, the shard's cells get
+        """A worker process dying mid-shard retries the shard's unreported
+        cells once on a fresh worker; if that dies too, those cells get
         structured ``worker_crash`` error records and every other shard's
         outcomes survive."""
         from repro.devices.registry import _BUILDERS, register_runner

@@ -16,8 +16,6 @@ import pytest
 from repro.campaign import (
     CampaignCell,
     CampaignSpec,
-    SerialExecutor,
-    ShardedExecutor,
     cell_digest,
     run_campaign,
 )
@@ -378,8 +376,8 @@ class TestCampaignFaultAxis:
             kernel="compiled",
             name="fault-axis",
         )
-        serial = run_campaign(spec, executor=SerialExecutor())
-        sharded = run_campaign(spec, executor=ShardedExecutor(workers=2))
+        serial = run_campaign(spec)
+        sharded = run_campaign(spec, workers=2)
         assert serial.payload() == sharded.payload()
         assert all(cell.error is None for cell in serial.cells)
         # Faulted rows carry their schedule token through the artifacts;
@@ -424,6 +422,22 @@ class TestCampaignFaultAxis:
         warm = run_campaign(spec, cache=tmp_path / "cache")
         assert warm.meta["cells_cached"] == 1  # the clean cell only
         assert warm.meta["cells_failed"] == 1
+
+    def test_failed_cells_count_as_failed_not_executed_on_both_paths(self):
+        """Serial and farm runs of a grid with an error row agree on the
+        rows and on the counts: cached + executed + failed = total."""
+        spec = CampaignSpec(
+            implementations=("splice_fcb",),
+            scenarios=SCENARIOS[:1],
+            faults=(None, "stuck_at_1:IO_ENABLE:40:3:*"),
+            kernel="compiled",
+            name="fault-deadlock",
+        )
+        serial = run_campaign(spec)
+        farm = run_campaign(spec, workers=2)
+        assert farm.payload() == serial.payload()
+        for meta in (serial.meta, farm.meta):
+            assert (meta["cells_executed"], meta["cells_failed"]) == (1, 1), meta
 
     def test_runner_without_fault_support_yields_structured_error(self):
         """The hand-written baseline adapters don't expose ``apply_faults``;
@@ -503,3 +517,23 @@ class TestFaultsCLI:
         faulted = [row for row in data["cells"] if row.get("faults")]
         assert len(faulted) == 2
         assert all(row.get("error") is None for row in data["cells"])
+
+    def test_campaign_run_exits_1_when_a_cell_failed(self, tmp_path, capsys):
+        """The deadlocking schedule of
+        ``test_deadlocking_fault_yields_cell_exception_not_a_crash`` yields
+        ``cell_exception`` rows; the run still writes its artifacts, and its
+        exit status says that not every cell produced an outcome."""
+        from repro.cli import main
+
+        rc = main([
+            "campaign", "run",
+            "--implementations", "splice_fcb",
+            "--kernel", "compiled",
+            "--faults", "none", "stuck_at_1:IO_ENABLE:40:3:*",
+            "--artifacts", str(tmp_path / "artifacts"),
+        ])
+        assert rc == 1
+        capsys.readouterr()
+        data = json.loads((tmp_path / "artifacts" / "campaign.json").read_text())
+        errors = [row["error"] for row in data["cells"] if row.get("error")]
+        assert errors and all("cell_exception" in error for error in errors)
