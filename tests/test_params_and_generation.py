@@ -1,11 +1,16 @@
 """Tests for the shared parameter structure and the hardware generators."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.buses.registry import create_bus
 from repro.core.capabilities import capabilities_for
 from repro.core.engine import Splice
 from repro.core.generation.arbiter import build_arbiter_ir
-from repro.core.generation.interface import build_interface_ir
+from repro.core.generation.interface import build_interface_ir, generic_interface_ir
 from repro.core.generation.ir import EntityKind
 from repro.core.generation.macros import standard_registry, build_context
 from repro.core.generation.stubs import build_stub_ir, stub_states
@@ -16,6 +21,7 @@ from repro.core.params import STATUS_FUNC_ID, build_params
 from repro.core.syntax.errors import SpliceGenerationError
 from repro.core.syntax.parser import parse_spec
 from repro.core.syntax.validation import validate_spec
+from repro.devices import interpolator
 
 TIMER_SPEC = """\
 %device_name hw_timer
@@ -209,3 +215,56 @@ class TestEngine:
         assert "plb" in engine.supported_buses
         assert engine.capabilities_for("fcb").memory_mapped is False
         assert capabilities_for("apb").strictly_synchronous
+
+
+# ---------------------------------------------------------------------------
+# golden generated output
+# ---------------------------------------------------------------------------
+
+GENERATED_GOLDEN_PATH = Path(__file__).parent / "golden" / "generated.json"
+
+GOLDEN_BUSES = ("plb", "opb", "fcb", "apb")
+
+
+def generated_golden() -> dict:
+    """Everything the generators and bus models derive from a bus's signal set.
+
+    * ``files``: SHA-256 of every generated hardware and driver file of each
+      ``INTERPOLATOR_SPEC_*`` device;
+    * ``ports``: ``(name, width, direction)`` of every adapter port both IR
+      builders produce, for the timer spec (seven functions, so the chip
+      enables and ``CALC_DONE`` are wider than one bit) on each bus;
+    * ``signals``: ``(name, width)`` of every slave-bundle signal
+      ``create_bus`` builds on each bus.
+    """
+    files = {}
+    for name in sorted(n for n in dir(interpolator) if n.startswith("INTERPOLATOR_SPEC_")):
+        result = Splice().generate(getattr(interpolator, name))
+        files[name] = {
+            file: hashlib.sha256(text.encode()).hexdigest()
+            for file, text in sorted({**result.hardware_files, **result.driver_sources}.items())
+        }
+    ports = {}
+    signals = {}
+    for bus_name in GOLDEN_BUSES:
+        module, bus = _params(TIMER_SPEC.replace("%bus_type plb", f"%bus_type {bus_name}"))
+        for builder in (build_interface_ir, generic_interface_ir):
+            ports[f"{builder.__name__}/{bus_name}"] = [
+                [port.name, port.width, port.direction.value]
+                for port in builder(module, bus).ports
+            ]
+        bundle, _master = create_bus(bus_name, data_width=32, func_id_width=3)
+        signals[bus_name] = [[signal.name, signal.width] for signal in bundle.signals()]
+    return {"files": files, "ports": ports, "signals": signals}
+
+
+def test_generated_output_matches_golden():
+    """``tests/golden/generated.json`` pins generated files, adapter IR ports
+    and bus signal sets; re-record it only for a deliberate output change."""
+    assert generated_golden() == json.loads(GENERATED_GOLDEN_PATH.read_text())
+
+
+if __name__ == "__main__":
+    # Re-record the golden file: PYTHONPATH=src python tests/test_params_and_generation.py
+    GENERATED_GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GENERATED_GOLDEN_PATH.write_text(json.dumps(generated_golden(), indent=1, sort_keys=True) + "\n")
