@@ -13,37 +13,23 @@ to every transaction.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.buses.base import BusMaster, BusTransaction, SlaveBundle
+from repro.buses.base import M_TO_S, S_TO_M, BusMaster, BusTransaction, SlaveBundle
 from repro.rtl.fsm import Active, Call, Exec, Goto, If, Redispatch, Schedule
-from repro.rtl.signal import Signal
 
 
 class APBSlaveBundle(SlaveBundle):
     """Signals visible to an APB-attached peripheral."""
 
-    def __init__(self, name: str, data_width: int = 32, addr_width: int = 32) -> None:
-        super().__init__(name, data_width, select_width=addr_width)
-        self.addr_width = addr_width
-        self.rst = Signal(f"{name}.RST", 1)
-        self.psel = Signal(f"{name}.PSEL", 1)
-        self.penable = Signal(f"{name}.PENABLE", 1)
-        self.pwrite = Signal(f"{name}.PWRITE", 1)
-        self.paddr = Signal(f"{name}.PADDR", addr_width)
-        self.pwdata = Signal(f"{name}.PWDATA", data_width)
-        self.prdata = Signal(f"{name}.PRDATA", data_width)
-
-    def signals(self) -> List[Signal]:
-        return [
-            self.rst,
-            self.psel,
-            self.penable,
-            self.pwrite,
-            self.paddr,
-            self.pwdata,
-            self.prdata,
-        ]
+    DESCRIPTION = (
+        (M_TO_S, "psel", "PSEL", 1),
+        (M_TO_S, "penable", "PENABLE", 1),
+        (M_TO_S, "pwrite", "PWRITE", 1),
+        (M_TO_S, "paddr", "PADDR", 32),
+        (M_TO_S, "pwdata", "PWDATA", "data_width"),
+        (S_TO_M, "prdata", "PRDATA", "data_width"),
+    )
 
 
 class APBMaster(BusMaster):
@@ -72,14 +58,6 @@ class APBMaster(BusMaster):
         self._register_tick()
 
     # -- FSM IR ----------------------------------------------------------------
-
-    def _fsm_signals(self) -> Dict[str, object]:
-        slave = self.slave
-        return {
-            "psel": slave.psel, "penable": slave.penable,
-            "pwrite": slave.pwrite, "paddr": slave.paddr,
-            "pwdata": slave.pwdata, "prdata": slave.prdata,
-        }
 
     def _fsm_consts(self) -> Dict[str, int]:
         return {**super()._fsm_consts(), "WORDB": self.slave.data_width // 8}

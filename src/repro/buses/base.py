@@ -1,5 +1,12 @@
 """Shared machinery for bus masters and slave bundles.
 
+Each bus declares its slave-side signals once, as the ``DESCRIPTION`` table
+of its :class:`SlaveBundle` subclass: ``(direction, attribute, native name,
+width)`` rows in the spirit of migen's bus ``Description`` layouts.  That
+one table builds the bundle's signals, gives the generated adapter its
+native ports (:func:`repro.core.generation.interface.build_interface_ir`)
+and binds the master's FSM signal names (:meth:`BusMaster._fsm_signals`).
+
 A :class:`BusTransaction` describes one logical bus operation (a single-word
 read or write, a burst, or a DMA block transfer).  A :class:`BusMaster`
 consumes queued transactions and drives its slave bundle cycle-by-cycle per
@@ -29,7 +36,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.rtl.fsm import (
     Active,
@@ -42,6 +49,7 @@ from repro.rtl.fsm import (
     StateDispatch,
 )
 from repro.rtl.module import Module
+from repro.rtl.signal import Signal
 
 
 class TransactionKind(enum.Enum):
@@ -178,16 +186,47 @@ class TransactionScript:
         self.executed: List[BusTransaction] = []
 
 
-class SlaveBundle:
-    """Base class for the signal bundle a peripheral's slave port exposes."""
+#: Direction of a :attr:`SlaveBundle.DESCRIPTION` row: driven by the bus
+#: master toward the slave, or by the slave back toward the master.
+M_TO_S = "m_to_s"
+S_TO_M = "s_to_m"
 
-    def __init__(self, name: str, data_width: int, select_width: int) -> None:
+
+class SlaveBundle:
+    """The signal bundle a peripheral's slave port exposes.
+
+    Each bus declares its slave signals once, as ``DESCRIPTION`` rows of
+    ``(direction, attribute, native name, width)``; ``width`` is a bit count
+    or the name of a sizing attribute (``data_width``, ``data_bytes``,
+    ``num_slots``, ``func_id_width``).  The constructor builds ``rst`` plus
+    one ``Signal`` named ``<name>.<NATIVE>`` per row, stored under the row's
+    attribute.  The same rows give the adapter its native ports
+    (:meth:`ports`) and the bus master its FSM signal bindings.
+    """
+
+    DESCRIPTION: Tuple[Tuple[str, str, str, Union[int, str]], ...] = ()
+
+    def __init__(self, name: str, data_width: int = 32, func_id_width: int = 4) -> None:
         self.name = name
         self.data_width = data_width
-        self.select_width = select_width
+        self.data_bytes = data_width // 8
+        self.func_id_width = func_id_width
+        self.num_slots = 1 << func_id_width
+        self.rst = Signal(f"{name}.RST", 1)
+        for _direction, attribute, native, width in self.DESCRIPTION:
+            if isinstance(width, str):
+                width = getattr(self, width)
+            setattr(self, attribute, Signal(f"{name}.{native}", width))
 
-    def signals(self):  # pragma: no cover - overridden by each bus
-        raise NotImplementedError
+    def signals(self) -> List[Signal]:
+        return [self.rst, *(getattr(self, row[1]) for row in self.DESCRIPTION)]
+
+    def ports(self) -> List[Tuple[str, int, str]]:
+        """``(native name, width, direction)`` of every described signal."""
+        return [
+            (native, getattr(self, attribute).width, direction)
+            for direction, attribute, native, _width in self.DESCRIPTION
+        ]
 
 
 class BusMaster(Module):
@@ -418,7 +457,8 @@ class BusMaster(Module):
         return ()
 
     def _fsm_signals(self) -> Dict[str, object]:
-        return {}
+        slave = self.slave
+        return {row[1]: getattr(slave, row[1]) for row in slave.DESCRIPTION}
 
     def _fsm_groups(self) -> Dict[str, tuple]:
         return {}

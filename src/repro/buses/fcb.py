@@ -14,43 +14,26 @@ request; the generated adapter forwards it as the SIS ``FUNC_ID``.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.buses.base import BusMaster, BusTransaction, SlaveBundle, TransactionKind
+from repro.buses.base import M_TO_S, S_TO_M, BusMaster, BusTransaction, SlaveBundle, TransactionKind
 from repro.rtl.fsm import Active, Call, Exec, Goto, If, Pulse, Schedule
-from repro.rtl.signal import Signal
 
 
 class FCBSlaveBundle(SlaveBundle):
     """Signals visible to the FCB-attached peripheral."""
 
-    def __init__(self, name: str, data_width: int = 32, func_id_width: int = 4) -> None:
-        super().__init__(name, data_width, select_width=func_id_width)
-        self.func_id_width = func_id_width
-        self.rst = Signal(f"{name}.RST", 1)
-        self.req = Signal(f"{name}.REQ", 1)
-        self.is_write = Signal(f"{name}.IS_WRITE", 1)
-        self.func_sel = Signal(f"{name}.FUNC_SEL", func_id_width)
-        self.burst_len = Signal(f"{name}.BURST_LEN", 3)
-        self.data_to_slave = Signal(f"{name}.DATA_IN", data_width)
-        self.data_valid = Signal(f"{name}.DATA_VALID", 1)
-        self.data_from_slave = Signal(f"{name}.DATA_OUT", data_width)
-        self.ack = Signal(f"{name}.ACK", 1)
-        self.resp_valid = Signal(f"{name}.RESP_VALID", 1)
-
-    def signals(self) -> List[Signal]:
-        return [
-            self.rst,
-            self.req,
-            self.is_write,
-            self.func_sel,
-            self.burst_len,
-            self.data_to_slave,
-            self.data_valid,
-            self.data_from_slave,
-            self.ack,
-            self.resp_valid,
-        ]
+    DESCRIPTION = (
+        (M_TO_S, "req", "REQ", 1),
+        (M_TO_S, "is_write", "IS_WRITE", 1),
+        (M_TO_S, "func_sel", "FUNC_SEL", "func_id_width"),
+        (M_TO_S, "burst_len", "BURST_LEN", 3),
+        (M_TO_S, "data_to_slave", "DATA_IN", "data_width"),
+        (M_TO_S, "data_valid", "DATA_VALID", 1),
+        (S_TO_M, "data_from_slave", "DATA_OUT", "data_width"),
+        (S_TO_M, "ack", "ACK", 1),
+        (S_TO_M, "resp_valid", "RESP_VALID", 1),
+    )
 
 
 class FCBMaster(BusMaster):
@@ -91,16 +74,6 @@ class FCBMaster(BusMaster):
         return [self.slave.ack, self.slave.resp_valid]
 
     # -- FSM IR ----------------------------------------------------------------
-
-    def _fsm_signals(self) -> Dict[str, object]:
-        slave = self.slave
-        return {
-            "req": slave.req, "is_write": slave.is_write,
-            "func_sel": slave.func_sel, "burst_len": slave.burst_len,
-            "d2s": slave.data_to_slave, "data_valid": slave.data_valid,
-            "dfs": slave.data_from_slave, "ack": slave.ack,
-            "resp_valid": slave.resp_valid,
-        }
 
     def _fsm_helpers(self) -> Dict[str, object]:
         return {"h_complete": self._complete, "h_finish": self._finish}
@@ -145,7 +118,7 @@ class FCBMaster(BusMaster):
                         If(
                             "resp_valid._value",
                             (
-                                Exec("m.active.results.append(dfs._value)"),
+                                Exec("m.active.results.append(data_from_slave._value)"),
                                 Exec("m._word_index += 1"),
                                 If(
                                     "m._word_index >= m._active_total",
@@ -166,7 +139,7 @@ class FCBMaster(BusMaster):
                 If(
                     "m._active_write",
                     (
-                        Schedule("d2s", "m.active.data[0]"),
+                        Schedule("data_to_slave", "m.active.data[0]"),
                         Schedule("data_valid", "1"),
                     ),
                 ),
@@ -174,7 +147,7 @@ class FCBMaster(BusMaster):
                 Active("False"),
             ),
             "next_beat": (
-                Schedule("d2s", "m.active.data[m._word_index]"),
+                Schedule("data_to_slave", "m.active.data[m._word_index]"),
                 Schedule("data_valid", "1"),
                 Goto("wait_ack"),
                 Active("False"),

@@ -18,9 +18,9 @@ shared, arbitrated processor bus) and supports three transfer styles:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.buses.base import BusMaster, BusTransaction, SlaveBundle, TransactionKind
+from repro.buses.base import M_TO_S, S_TO_M, BusMaster, BusTransaction, SlaveBundle, TransactionKind
 from repro.rtl.fsm import (
     Active,
     Call,
@@ -33,7 +33,6 @@ from repro.rtl.fsm import (
     ScheduleZero,
 )
 from repro.buses.base import DMA_KINDS as _DMA_KINDS, WRITE_KINDS as _WRITE_KINDS
-from repro.rtl.signal import Signal
 
 #: Transfer styles that stream beats back-to-back without re-arbitration.
 _STREAMING_KINDS = (
@@ -47,33 +46,17 @@ _STREAMING_KINDS = (
 class PLBSlaveBundle(SlaveBundle):
     """Signals visible to a PLB-attached peripheral (slave port)."""
 
-    def __init__(self, name: str, data_width: int = 32, num_slots: int = 16) -> None:
-        super().__init__(name, data_width, select_width=num_slots)
-        self.num_slots = num_slots
-        self.rst = Signal(f"{name}.RST", 1)
-        self.rd_req = Signal(f"{name}.RD_REQ", 1)
-        self.wr_req = Signal(f"{name}.WR_REQ", 1)
-        self.be = Signal(f"{name}.BE", data_width // 8)
-        self.rd_ce = Signal(f"{name}.RD_CE", num_slots)
-        self.wr_ce = Signal(f"{name}.WR_CE", num_slots)
-        self.data_to_slave = Signal(f"{name}.DATA_IN", data_width)
-        self.data_from_slave = Signal(f"{name}.DATA_OUT", data_width)
-        self.rd_ack = Signal(f"{name}.RD_ACK", 1)
-        self.wr_ack = Signal(f"{name}.WR_ACK", 1)
-
-    def signals(self) -> List[Signal]:
-        return [
-            self.rst,
-            self.rd_req,
-            self.wr_req,
-            self.be,
-            self.rd_ce,
-            self.wr_ce,
-            self.data_to_slave,
-            self.data_from_slave,
-            self.rd_ack,
-            self.wr_ack,
-        ]
+    DESCRIPTION = (
+        (M_TO_S, "rd_req", "RD_REQ", 1),
+        (M_TO_S, "wr_req", "WR_REQ", 1),
+        (M_TO_S, "be", "BE", "data_bytes"),
+        (M_TO_S, "rd_ce", "RD_CE", "num_slots"),
+        (M_TO_S, "wr_ce", "WR_CE", "num_slots"),
+        (M_TO_S, "data_to_slave", "DATA_IN", "data_width"),
+        (S_TO_M, "data_from_slave", "DATA_OUT", "data_width"),
+        (S_TO_M, "rd_ack", "RD_ACK", 1),
+        (S_TO_M, "wr_ack", "WR_ACK", 1),
+    )
 
     def selected_slot(self, write: bool) -> int:
         """Decode the one-hot chip enable into a slot number (-1 when idle)."""
@@ -123,15 +106,6 @@ class PLBMaster(BusMaster):
 
     # -- FSM IR ----------------------------------------------------------------
 
-    def _fsm_signals(self) -> Dict[str, object]:
-        slave = self.slave
-        return {
-            "wr_req": slave.wr_req, "rd_req": slave.rd_req,
-            "wr_ce": slave.wr_ce, "rd_ce": slave.rd_ce, "be": slave.be,
-            "d2s": slave.data_to_slave, "dfs": slave.data_from_slave,
-            "wr_ack": slave.wr_ack, "rd_ack": slave.rd_ack,
-        }
-
     def _fsm_groups(self) -> Dict[str, tuple]:
         return {"req_group": self._request_signals}
 
@@ -174,7 +148,7 @@ class PLBMaster(BusMaster):
                             If(
                                 "m._active_write",
                                 (
-                                    Schedule("d2s", "m.active.data[m._word_index]"),
+                                    Schedule("data_to_slave", "m.active.data[m._word_index]"),
                                     Pulse("wr_req"),
                                 ),
                                 orelse=(Pulse("rd_req"),),
@@ -215,7 +189,7 @@ class PLBMaster(BusMaster):
                     # REQ strobes for a single cycle (pulse); CE/BE/DATA hold.
                     Pulse("wr_req"),
                     Schedule("wr_ce", "1 << slot"),
-                    Schedule("d2s", "txn.data[m._word_index]"),
+                    Schedule("data_to_slave", "txn.data[m._word_index]"),
                 ),
                 orelse=(
                     Pulse("rd_req"),
@@ -239,7 +213,7 @@ class PLBMaster(BusMaster):
                         If(
                             "rd_ack._value",
                             (
-                                Exec("m.active.results.append(dfs._value)"),
+                                Exec("m.active.results.append(data_from_slave._value)"),
                                 Exec("m._word_index += 1"),
                                 *after_beat,
                             ),

@@ -1,8 +1,9 @@
 """Registry mapping bus names onto slave bundles and master models.
 
 The Splice engine and the SoC builder look buses up by the same name used in
-the ``%bus_type`` directive.  The extension API registers additional buses
-here (Chapter 7).
+the ``%bus_type`` directive.  Only the four built-in buses have simulation
+models; an extension-API plugin (Chapter 7) adds generation support for a
+new bus, not a model here.
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ BUS_MASTERS: Dict[str, Callable[..., BusMaster]] = {
 }
 
 
-def register_bus(name: str, bundle_factory, master_factory) -> None:
-    """Register a new bus model (used by the extension API)."""
-    key = name.lower()
-    BUS_SLAVE_BUNDLES[key] = bundle_factory
-    BUS_MASTERS[key] = master_factory
-
-
 def create_bus(
     name: str,
     *,
@@ -49,23 +43,15 @@ def create_bus(
 ) -> Tuple[SlaveBundle, BusMaster]:
     """Instantiate the slave bundle and master model for ``name``.
 
-    The slave bundle is sized from the peripheral's function-identifier width
-    so the chip enables / select lines can address every function slot.
+    Every bundle is sized from the bus data width and the peripheral's
+    function-identifier width, so the chip enables / select lines can
+    address every function slot.
     """
     key = name.lower()
     if key not in BUS_SLAVE_BUNDLES:
         known = ", ".join(sorted(BUS_SLAVE_BUNDLES))
         raise KeyError(f"unknown bus {name!r} (known: {known})")
 
-    num_slots = 1 << func_id_width
-    if key in ("plb", "opb"):
-        bundle = BUS_SLAVE_BUNDLES[key](f"{prefix}.{key}", data_width=data_width, num_slots=num_slots)
-    elif key == "fcb":
-        bundle = BUS_SLAVE_BUNDLES[key](f"{prefix}.{key}", data_width=data_width, func_id_width=func_id_width)
-    elif key == "apb":
-        bundle = BUS_SLAVE_BUNDLES[key](f"{prefix}.{key}", data_width=data_width)
-    else:
-        bundle = BUS_SLAVE_BUNDLES[key](f"{prefix}.{key}", data_width=data_width)
-
+    bundle = BUS_SLAVE_BUNDLES[key](f"{prefix}.{key}", data_width, func_id_width)
     master = BUS_MASTERS[key](f"{prefix}.{key}_master", bundle, base_address=base_address)
     return bundle, master

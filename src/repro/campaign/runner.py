@@ -68,9 +68,6 @@ def run_campaign(
     workers = resolve_workers(workers)
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
-    if workers > 1:
-        return _run_on_farm(spec, workers, cache)
-
     cells = spec.cells()
     started = time.perf_counter()
     cached: Dict[tuple, CellOutcome] = {}
@@ -83,6 +80,9 @@ def run_campaign(
                 pending.append(cell)
             else:
                 cached[cell.key] = outcome
+    # A fully cached grid starts no worker process on either path.
+    if workers > 1 and pending:
+        return _run_on_farm(spec, workers, cache, started)
 
     # Persist outcomes as they land, so an interrupted campaign resumes from
     # what it finished.  CellError records are never persisted: an error
@@ -95,22 +95,23 @@ def run_campaign(
     with _program_cache_env(cache):
         fresh = execute_cells(pending, on_result)
     return campaign_result(
-        spec, cells, {**cached, **fresh}, cached, executor="serial", workers=1,
+        spec, cells, {**cached, **fresh}, cached,
+        executor="serial" if workers == 1 else "farm", workers=workers,
         elapsed_s=time.perf_counter() - started,
     )
 
 
 def _run_on_farm(
-    spec: CampaignSpec, workers: int, cache: Optional[ResultCache]
+    spec: CampaignSpec, workers: int, cache: Optional[ResultCache], started: float
 ) -> CampaignResult:
     """Submit ``spec`` to a farm that lives for this one job.
 
+    The farm answers the cached cells again at submit, from the same cache.
     No stuck-worker watchdog: a batch run has no deadline, so a long cell
     must not turn into a ``worker_stuck`` row.
     """
     from repro.service.farm import SimulationFarm
 
-    started = time.perf_counter()
     with SimulationFarm(workers, cache=cache, stuck_timeout_s=None) as farm:
         job = farm.submit(spec)
         job.wait()

@@ -10,9 +10,10 @@ A plugin supplies everything Splice needs to target a bus it has never seen:
   template (§7.1.2),
 * ``template`` — the annotated HDL adapter template itself,
 * ``interface_builder`` — a callable producing the adapter's structural IR,
-* ``macro_library`` — the software macro set of §7.1.3, and
-* optionally ``adapter_class`` / ``slave_bundle`` / ``master`` factories so
-  the simulated SoC can also run designs targeted at the new bus.
+* ``macro_library`` — the software macro set of §7.1.3.
+
+A plugin extends generation only: the simulated SoC (:mod:`repro.soc`) runs
+the four built-in buses, whose models live in :mod:`repro.buses`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class BusAdapterPlugin:
     markers: Dict[str, str] = field(default_factory=dict)
     interface_builder: Optional[InterfaceBuilder] = None
     parameter_checker: Optional[ParameterChecker] = None
-    adapter_class: Optional[Callable] = None
-    slave_bundle_factory: Optional[Callable] = None
-    master_factory: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.isidentifier():

@@ -7,6 +7,10 @@ For every supported bus this module holds
   (ports, handshake registers, decode comparators, DMA engine overhead) used
   for resource estimation and text rendering.
 
+The adapter's native ports are read from the bus's slave-bundle
+``DESCRIPTION`` table (:mod:`repro.buses`) and its SIS ports from
+:class:`~repro.sis.signals.SISBundle`, so each signal set is declared once.
+
 The adapters translate the native slave protocol into the SIS following the
 signal correspondences of Figures 4.7 and 4.8.
 """
@@ -15,67 +19,13 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.buses.base import M_TO_S
+from repro.buses.registry import BUS_SLAVE_BUNDLES
 from repro.core.capabilities import BusCapabilities
 from repro.core.generation.ir import EntityIR, EntityKind, PortDirection
 from repro.core.params import ModuleParams
 from repro.core.syntax.errors import SpliceGenerationError
-
-#: SIS-side ports shared by every adapter (Figure 4.2).
-_SIS_PORTS = (
-    ("SIS_DATA_IN", "out"),
-    ("SIS_DATA_IN_VALID", "out"),
-    ("SIS_IO_ENABLE", "out"),
-    ("SIS_FUNC_ID", "out"),
-    ("SIS_DATA_OUT", "in"),
-    ("SIS_DATA_OUT_VALID", "in"),
-    ("SIS_IO_DONE", "in"),
-    ("SIS_CALC_DONE", "in"),
-)
-
-#: Native slave-side ports per bus (paper Figures 4.5/4.6 for the PLB).
-_NATIVE_PORTS: Dict[str, tuple] = {
-    "plb": (
-        ("PLB_RD_REQ", "in", 1),
-        ("PLB_WR_REQ", "in", 1),
-        ("PLB_BE", "in", 0),          # width filled from bus width / 8
-        ("PLB_RD_CE", "in", -1),      # width filled from function slots
-        ("PLB_WR_CE", "in", -1),
-        ("PLB_DATA_IN", "in", 0),
-        ("PLB_DATA_OUT", "out", 0),
-        ("PLB_RD_ACK", "out", 1),
-        ("PLB_WR_ACK", "out", 1),
-    ),
-    "opb": (
-        ("OPB_RD_REQ", "in", 1),
-        ("OPB_WR_REQ", "in", 1),
-        ("OPB_BE", "in", 0),
-        ("OPB_RD_CE", "in", -1),
-        ("OPB_WR_CE", "in", -1),
-        ("OPB_DATA_IN", "in", 0),
-        ("OPB_DATA_OUT", "out", 0),
-        ("OPB_RD_ACK", "out", 1),
-        ("OPB_WR_ACK", "out", 1),
-    ),
-    "fcb": (
-        ("FCB_REQ", "in", 1),
-        ("FCB_IS_WRITE", "in", 1),
-        ("FCB_FUNC_SEL", "in", -2),   # width filled from func id width
-        ("FCB_BURST_LEN", "in", 3),
-        ("FCB_DATA_IN", "in", 0),
-        ("FCB_DATA_VALID", "in", 1),
-        ("FCB_DATA_OUT", "out", 0),
-        ("FCB_ACK", "out", 1),
-        ("FCB_RESP_VALID", "out", 1),
-    ),
-    "apb": (
-        ("APB_PSEL", "in", 1),
-        ("APB_PENABLE", "in", 1),
-        ("APB_PWRITE", "in", 1),
-        ("APB_PADDR", "in", 32),
-        ("APB_PWDATA", "in", 0),
-        ("APB_PRDATA", "out", 0),
-    ),
-}
+from repro.sis.signals import SISBundle
 
 #: Annotated VHDL templates, one per built-in bus adapter (abridged but
 #: structurally faithful: entity declaration, handshake process, SIS hookup).
@@ -221,10 +171,33 @@ def adapter_entity_name(module: ModuleParams, bus_name: str) -> str:
     return f"{module.mod_name}_{bus_name}_interface"
 
 
+def _add_ports(entity: EntityIR, module: ModuleParams, bundle=None) -> None:
+    """Add CLK, RST, the native ports of ``bundle`` (``<BUS>_<NATIVE>`` in
+    table order; master-to-slave signals are adapter inputs), then the
+    SIS-side ports (Figure 4.2) sized as :class:`SISBundle` sizes them: the
+    adapter drives the broadcast signals and reads the return signals."""
+    entity.add_port("CLK", 1, PortDirection.IN)
+    entity.add_port("RST", 1, PortDirection.IN)
+    for native, width, direction in bundle.ports() if bundle is not None else ():
+        entity.add_port(
+            f"{bundle.name.upper()}_{native}", width,
+            PortDirection.IN if direction == M_TO_S else PortDirection.OUT,
+        )
+    sis = SISBundle(module.data_width, module.func_id_width)
+    for direction, signals in (
+        (PortDirection.OUT, sis.broadcast_signals()),
+        (PortDirection.IN, sis.return_signals()),
+    ):
+        for signal in signals:
+            if signal is not sis.rst:
+                entity.add_port(f"SIS_{signal.name.rpartition('.')[2]}", signal.width, direction)
+
+
 def build_interface_ir(module: ModuleParams, bus: BusCapabilities) -> EntityIR:
     """Build the structural IR of the native interface adapter."""
     bus_name = bus.name.lower()
-    if bus_name not in _NATIVE_PORTS:
+    bundle_class = BUS_SLAVE_BUNDLES.get(bus_name)
+    if bundle_class is None:
         raise SpliceGenerationError(
             f"no built-in adapter for bus {bus_name!r}; register one through the extension API"
         )
@@ -237,24 +210,7 @@ def build_interface_ir(module: ModuleParams, bus: BusCapabilities) -> EntityIR:
     )
 
     num_slots = 1 << module.func_id_width
-    width_of = {0: module.data_width, -1: num_slots, -2: module.func_id_width}
-
-    entity.add_port("CLK", 1, PortDirection.IN)
-    entity.add_port("RST", 1, PortDirection.IN)
-    for name, direction, raw_width in _NATIVE_PORTS[bus_name]:
-        width = width_of.get(raw_width, raw_width)
-        if raw_width == 0 and name.endswith("BE"):
-            width = module.data_width // 8
-        entity.add_port(name, width, PortDirection.IN if direction == "in" else PortDirection.OUT)
-    for name, direction in _SIS_PORTS:
-        width = 1
-        if name in ("SIS_DATA_IN", "SIS_DATA_OUT"):
-            width = module.data_width
-        elif name == "SIS_FUNC_ID":
-            width = module.func_id_width
-        elif name == "SIS_CALC_DONE":
-            width = max(1, num_slots - 1)
-        entity.add_port(name, width, PortDirection.OUT if direction == "out" else PortDirection.IN)
+    _add_ports(entity, module, bundle_class(bus_name, module.data_width, module.func_id_width))
 
     # Handshake state: captured data word, captured function id, FSM.
     entity.add_register("data_capture", module.data_width, "latched write data presented on SIS_DATA_IN")
@@ -312,17 +268,7 @@ def generic_interface_ir(module: ModuleParams, bus: BusCapabilities) -> EntityIR
         attributes={"bus": bus.name.lower(), "dma": module.dma_support_f, "generic": True},
     )
     num_slots = 1 << module.func_id_width
-    entity.add_port("CLK", 1, PortDirection.IN)
-    entity.add_port("RST", 1, PortDirection.IN)
-    for name, direction in _SIS_PORTS:
-        width = 1
-        if name in ("SIS_DATA_IN", "SIS_DATA_OUT"):
-            width = module.data_width
-        elif name == "SIS_FUNC_ID":
-            width = module.func_id_width
-        elif name == "SIS_CALC_DONE":
-            width = max(1, num_slots - 1)
-        entity.add_port(name, width, PortDirection.OUT if direction == "out" else PortDirection.IN)
+    _add_ports(entity, module)
     entity.add_register("data_capture", module.data_width, "latched write data")
     entity.add_register("func_id_reg", module.func_id_width, "latched target function identifier")
     entity.add_fsm("adapter_fsm", ["IDLE", "WRITE_WAIT", "READ_WAIT", "ACK"], "handshake translation")

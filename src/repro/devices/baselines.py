@@ -55,7 +55,8 @@ SLOT_SET3 = 3
 SLOT_RESULT = 4
 
 _BASE_ADDRESS = 0x80030000
-_NUM_SLOTS = 8
+_FUNC_ID_WIDTH = 3
+_NUM_SLOTS = 1 << _FUNC_ID_WIDTH
 
 
 class _HandCodedInterpolator(Module):
@@ -556,7 +557,7 @@ def build_naive_plb_system(
 ) -> NaivePLBSystem:
     """Assemble the naïve hand-coded PLB interpolator system."""
     def parts():
-        plb = PLBSlaveBundle("naive.plb", data_width=32, num_slots=_NUM_SLOTS)
+        plb = PLBSlaveBundle("naive.plb", data_width=32, func_id_width=_FUNC_ID_WIDTH)
         return (plb, PLBMaster("naive.plb_master", plb, base_address=_BASE_ADDRESS),
                 NaivePLBInterpolator("naive_plb_interp", plb))
 

@@ -1190,10 +1190,7 @@ def settle_once():
         fn = self._wait_eq_fn if condition.op == "==" else self._wait_ge_fn
         elapsed = fn(condition.signal, condition.value, timeout)
         if elapsed < 0:
-            raise SimulationError(
-                f"run_until timed out after {timeout} cycles "
-                f"(started at {self.cycle - timeout})"
-            )
+            raise SimulationError(f"run_until timed out after {timeout} cycles")
         return elapsed
 
     def reset(self) -> None:

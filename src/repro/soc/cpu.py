@@ -63,9 +63,6 @@ class ProcessorModel:
         """Bus clock cycles elapsed since the simulation started."""
         return self.simulator.cycle
 
-    def elapsed_since(self, start_cycle: int) -> int:
-        return self.simulator.cycle - start_cycle
-
     # -- execution -------------------------------------------------------------------
 
     def execute(self, transaction: BusTransaction) -> BusTransaction:
@@ -91,9 +88,6 @@ class ProcessorModel:
         if self.record_transactions:
             self.executed.append(transaction)
         return transaction
-
-    def execute_many(self, transactions) -> List[BusTransaction]:
-        return [self.execute(txn) for txn in transactions]
 
     def execute_script(self, ops: Sequence[ScriptOp]) -> TransactionScript:
         """Run a whole beat sequence inside the master; block until done.
@@ -136,6 +130,3 @@ class ProcessorModel:
     @property
     def transactions_issued(self) -> int:
         return self._issued
-
-    def bus_utilization(self) -> float:
-        return self.master.utilization()

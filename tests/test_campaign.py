@@ -384,6 +384,23 @@ class TestCache:
         assert warm.meta["cells_cached"] == spec.cell_count
         assert warm.payload() == cold.payload()
 
+    def test_fully_cached_multi_worker_run_starts_no_worker(self, tmp_path, monkeypatch):
+        """A warm grid is answered from the cache in this process: the
+        multi-worker path starts no farm worker, yet reports as the farm."""
+        import repro.service.farm as farm_module
+
+        spec = CampaignSpec(implementations=("splice_plb", "splice_fcb"), scenarios=SCENARIOS[:2])
+        serial = run_campaign(spec, cache=tmp_path / "cache")
+        spawned = []
+        real_spawn = farm_module.spawn_worker
+        monkeypatch.setattr(farm_module, "spawn_worker",
+                            lambda *args, **kwargs: spawned.append(args) or real_spawn(*args, **kwargs))
+        warm = run_campaign(spec, workers=2, cache=tmp_path / "cache")
+        assert spawned == []
+        assert warm.payload() == serial.payload()
+        assert (warm.meta["executor"], warm.meta["workers"]) == ("farm", 2)
+        assert warm.meta["cells_cached"] == warm.meta["cells_total"] == spec.cell_count
+
 
 class TestResultArtifacts:
     @pytest.fixture(scope="class")

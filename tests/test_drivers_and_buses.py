@@ -209,7 +209,7 @@ class _EchoSlave:
 class TestPLBMaster:
     def _system(self):
         sim = Simulator()
-        plb = PLBSlaveBundle("plb", num_slots=8)
+        plb = PLBSlaveBundle("plb", func_id_width=3)
         master = PLBMaster("master", plb, base_address=0x1000)
         slave = _EchoSlave(plb)
         sim.register_module(master)

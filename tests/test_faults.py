@@ -423,13 +423,25 @@ class TestCampaignFaultAxis:
         assert warm.meta["cells_cached"] == 1  # the clean cell only
         assert warm.meta["cells_failed"] == 1
 
-    def test_failed_cells_count_as_failed_not_executed_on_both_paths(self):
-        """Serial and farm runs of a grid with an error row agree on the
+    @pytest.mark.parametrize(
+        "scenarios, faults, counts",
+        [
+            (1, (None, "stuck_at_1:IO_ENABLE:40:3:*"), (1, 1)),
+            # Error rows after other cells on the same serial runner: the
+            # row must not depend on where (or after what) the cell ran.
+            (2, (None, "transient_pulse:DATA_OUT_VALID:25", "stuck_at_1:IO_ENABLE:40:3:*"), (4, 2)),
+        ],
+        ids=["one-error", "errors-after-other-cells"],
+    )
+    def test_failed_cells_count_as_failed_not_executed_on_both_paths(
+        self, scenarios, faults, counts
+    ):
+        """Serial and farm runs of a grid with error rows agree on the
         rows and on the counts: cached + executed + failed = total."""
         spec = CampaignSpec(
             implementations=("splice_fcb",),
-            scenarios=SCENARIOS[:1],
-            faults=(None, "stuck_at_1:IO_ENABLE:40:3:*"),
+            scenarios=SCENARIOS[:scenarios],
+            faults=faults,
             kernel="compiled",
             name="fault-deadlock",
         )
@@ -437,7 +449,7 @@ class TestCampaignFaultAxis:
         farm = run_campaign(spec, workers=2)
         assert farm.payload() == serial.payload()
         for meta in (serial.meta, farm.meta):
-            assert (meta["cells_executed"], meta["cells_failed"]) == (1, 1), meta
+            assert (meta["cells_executed"], meta["cells_failed"]) == counts, meta
 
     def test_runner_without_fault_support_yields_structured_error(self):
         """The hand-written baseline adapters don't expose ``apply_faults``;

@@ -265,7 +265,7 @@ class TestProcessorExecuteStillBlocking:
         sim = Simulator()
         from repro.buses import PLBMaster, PLBSlaveBundle
 
-        plb = PLBSlaveBundle("plb", num_slots=8)
+        plb = PLBSlaveBundle("plb", func_id_width=3)
         master = PLBMaster("master", plb, base_address=0x1000)
 
         class EchoSlave:
